@@ -25,6 +25,7 @@ __all__ = [
     "is_adequate",
     "beam_power_pattern",
     "synthesize_widebeam",
+    "widebeam_grid",
     "build_widebeam_codebook",
     "build_steering_codebook",
     "build_abp",
@@ -263,40 +264,44 @@ def synthesize_widebeam(boresight: float, half_width: float, n_rf: int,
     return _make_precoder(float(boresight), float(half_width), candidate, geometry)
 
 
+def widebeam_grid(width: float, num_elements: int, num_beams: int | None = None,
+                  k: int | None = None, delta_scale: float = 1.0) -> tuple:
+    """Beam count and half width of a widebeam tiling of a span `width` rad wide.
+
+    With `num_beams` given, the half width is the smallest adequate k*pi/N
+    whose beamwidth 2*delta covers the spacing; otherwise k defaults to 2 and
+    the beam count is the smallest that covers the span. `delta_scale` != 1
+    scales the half width away from the adequate grid (the non-adequate
+    baseline).
+    """
+    n = num_elements
+    if num_beams is not None and num_beams < 1:
+        raise ValueError(f"num_beams must be >= 1, got {num_beams}")
+    if k is None:
+        k = (DEFAULT_ADEQUACY_K if num_beams is None
+             else max(1, int(np.ceil(width / num_beams * n / (2.0 * np.pi) - 1e-9))))
+    delta = delta_scale * k * np.pi / n
+    count = num_beams if num_beams is not None else max(1, int(np.ceil(width / (2.0 * delta) - 1e-9)))
+    return count, delta
+
+
 def build_widebeam_codebook(span_deg, geometry: ArrayGeometry, n_rf: int = DEFAULT_N_RF,
                             num_beams: int | None = None, k: int | None = None,
                             delta_scale: float = 1.0) -> WidebeamCodebook:
     """Tile an angular span with uniformly spaced widebeams of one half width.
 
     Boresights are uniform in spatial frequency and centered on the span
-    (outermost beams half a spacing from the edges). With `num_beams` given,
-    the half width is the smallest adequate k*pi/N whose beamwidth 2*delta
-    covers the spacing; otherwise k defaults to 2 and the beam count is the
-    smallest that covers the span. `delta_scale` != 1 scales the half width
-    away from the adequate grid (the non-adequate baseline).
+    (outermost beams half a spacing from the edges); `widebeam_grid` sets the
+    beam count and the half width.
     """
     lo = angle_to_spatial(span_deg[0], geometry)
     hi = angle_to_spatial(span_deg[1], geometry)
     if not hi > lo:
         raise ValueError(f"empty span {span_deg}")
     n = geometry.num_elements
-    width = hi - lo
-
-    if num_beams is not None:
-        if num_beams < 1:
-            raise ValueError(f"num_beams must be >= 1, got {num_beams}")
-        count = num_beams
-        spacing = width / count
-        k_eff = k if k is not None else max(1, int(np.ceil(spacing * n / (2.0 * np.pi) - 1e-9)))
-    else:
-        k_eff = k if k is not None else DEFAULT_ADEQUACY_K
-        delta0 = delta_scale * k_eff * np.pi / n
-        count = max(1, int(np.ceil(width / (2.0 * delta0) - 1e-9)))
-        spacing = width / count
-    delta = delta_scale * k_eff * np.pi / n
-
+    count, delta = widebeam_grid(hi - lo, n, num_beams, k, delta_scale)
     adequate, k_found = is_adequate(delta, n)
-    boresights = lo + (np.arange(count) + 0.5) * spacing
+    boresights = lo + (np.arange(count) + 0.5) * ((hi - lo) / count)
     candidate = _synthesize_centered(n, n_rf, float(delta))
     beams = tuple(_make_precoder(g, delta, candidate, geometry) for g in boresights)
     return WidebeamCodebook(beams=beams, span=(lo, hi),

@@ -10,7 +10,7 @@ import configparser
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from importlib import resources
 
 import numpy as np
@@ -25,6 +25,7 @@ from .beams import (
     write_pattern_csv,
 )
 from .montecarlo import (
+    ESTIMATOR_KINDS,
     EstimatorSpec,
     ExperimentConfig,
     run_sweep,
@@ -50,42 +51,44 @@ def bundled_config(name: str):
     return resources.files("beamalign").joinpath("configs", name)
 
 
-def _parse_interval(text, key):
-    parts = [p.strip() for p in text.split(",")]
+def _parse_interval(text):
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{key} must be 'low, high', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        raise ValueError(f"expected 'low, high', got {text!r}")
+    return float(parts[0]), float(parts[1])
 
 
-def _parse_snr_grid(text, key):
-    try:
-        if ":" in text:
-            start, step, stop = (float(p) for p in text.split(":"))
-            if step <= 0:
-                raise ConfigError(f"{key}: step must be > 0")
-            return tuple(np.arange(start, stop + 1e-9, step).tolist())
-        return tuple(float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+def _parse_snr_grid(text):
+    if ":" in text:
+        start, step, stop = (float(p) for p in text.split(":"))
+        if step <= 0:
+            raise ValueError("step must be > 0")
+        return tuple(np.arange(start, stop + 1e-9, step).tolist())
+    return tuple(float(p) for p in text.split(","))
 
 
-def _parse_bool(text, key):
+def _parse_bool(text):
     value = text.strip().lower()
     if value in ("1", "true", "yes", "on"):
         return True
     if value in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
+    raise ValueError(f"expected a boolean, got {text!r}")
 
 
-_EXPERIMENT_KEYS = ("n_tot", "m_tot", "n_rf", "trials", "master_seed",
-                    "snr_grid_db", "aod_prior_deg", "aoa_prior_deg",
-                    "nonadequate_k", "tx_spacing", "rx_spacing")
-_CHANNEL_KEYS = ("kind", "k_factor_db", "num_paths", "nlos_normalized")
-_ESTIMATOR_KEYS = ("two_stage", "two_stage_nonadequate", "gob", "gob_abp")
+# Config keys come from the ExperimentConfig fields, parsed by field type. The
+# [channel] section holds the channel fields (kind sets channel_kind),
+# [estimators] takes one key per estimator kind, [experiment] the rest.
+_FIELDS = {f.name: f for f in fields(ExperimentConfig)}
+_CHANNEL_FIELDS = {"kind": "channel_kind", "k_factor_db": "k_factor_db",
+                   "num_paths": "num_paths", "nlos_normalized": "nlos_normalized"}
+_SECTIONS = {
+    "experiment": {name: name for name in _FIELDS
+                   if name not in _CHANNEL_FIELDS.values() and name != "estimators"},
+    "channel": _CHANNEL_FIELDS,
+    "estimators": dict.fromkeys(ESTIMATOR_KINDS, "estimators"),
+}
+_PARSERS = {int: int, float: float, bool: _parse_bool, str: str.strip, tuple: _parse_interval}
 
 
 def load_config(path) -> ExperimentConfig:
@@ -94,66 +97,32 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         parser.read_file(fh)
 
+    kwargs = {"estimators": ()} if parser.has_section("estimators") else {}
     for section in parser.sections():
-        if section not in ("experiment", "channel", "estimators"):
+        keys = _SECTIONS.get(section)
+        if keys is None:
             raise ConfigError(f"unknown section [{section}]")
-
-    kwargs = {}
-    if parser.has_section("experiment"):
-        for key, value in parser.items("experiment"):
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [experiment]")
+        for key, text in parser.items(section):
+            if key not in keys:
+                raise ConfigError(f"unknown key {key!r} in [{section}]")
+            name = keys[key]
             try:
-                if key in ("n_tot", "m_tot", "n_rf", "trials", "master_seed"):
-                    kwargs[key] = int(value)
-                elif key in ("nonadequate_k", "tx_spacing", "rx_spacing"):
-                    kwargs[key] = float(value)
-                elif key == "snr_grid_db":
-                    kwargs[key] = _parse_snr_grid(value, key)
+                if name == "estimators":
+                    kwargs[name] += tuple(EstimatorSpec(key, int(p)) for p in text.split(","))
+                elif name == "snr_grid_db":
+                    kwargs[name] = _parse_snr_grid(text)
                 else:
-                    kwargs[key] = _parse_interval(value, key)
+                    kwargs[name] = _PARSERS[_FIELDS[name].type](text)
             except ValueError as exc:
                 raise ConfigError(f"{key}: {exc}") from None
-
-    if parser.has_section("channel"):
-        for key, value in parser.items("channel"):
-            if key not in _CHANNEL_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [channel]")
-            try:
-                if key == "kind":
-                    kwargs["channel_kind"] = value.strip()
-                elif key == "k_factor_db":
-                    kwargs[key] = float(value)
-                elif key == "num_paths":
-                    kwargs[key] = int(value)
-                else:
-                    kwargs[key] = _parse_bool(value, key)
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-
-    if parser.has_section("estimators"):
-        entries = []
-        for key, value in parser.items("estimators"):
-            if key not in _ESTIMATOR_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [estimators]")
-            try:
-                counts = [int(p) for p in value.split(",")]
-            except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
-            entries.extend(EstimatorSpec(key, count) for count in counts)
-        kwargs["estimators"] = tuple(entries)
 
     try:
         config = ExperimentConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    for key in ("n_tot", "m_tot", "n_rf", "trials", "master_seed", "channel_kind"):
-        origin = "" if key in kwargs or (key == "channel_kind" and "channel_kind" in kwargs) else " (default)"
-        log.info("config: %s = %r%s", key, getattr(config, key), origin)
-    log.info("config: snr_grid_db = %s points in [%g, %g]", len(config.snr_grid_db),
-             config.snr_grid_db[0], config.snr_grid_db[-1])
-    log.info("config: estimators = %s", [spec.label for spec in config.estimators])
+    for name in _FIELDS:
+        log.info("config: %s = %r%s", name, getattr(config, name),
+                 "" if name in kwargs else " (default)")
     return config
 
 

@@ -42,7 +42,6 @@ class SoundingResult:
 
     sample: complex
     power: float
-    beam_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -62,35 +61,41 @@ def _check_unit(vec, name):
         raise ValueError(f"{name} must be unit norm, got ||.|| = {nrm!r}")
 
 
-def _combined_noise(rx_combiner: np.ndarray, count: int, rng) -> np.ndarray:
-    """rx^H n for `count` soundings, each with a fresh CN(0, I) noise vector.
+def _sounder(channel: ChannelRealization, rx_combiner: np.ndarray | None = None):
+    """The sounding kernel for one channel realization.
 
-    rng=None models noiseless sounding.
+    Returns sweep(beams, snr, rng): the received samples
+    y = sqrt(snr) * rx^H H f + rx^H n for every column f of `beams`, each with
+    fresh CN(0, I) noise n; rng=None models noiseless sounding. h_row = rx^H H
+    is formed once, so every sweep of one estimator call shares it. The
+    default combiner is the matched receiver, steered at the arrival angle of
+    the dominant path.
     """
-    if rng is None:
-        return np.zeros(count, dtype=complex)
-    m = len(rx_combiner)
-    re = rng.standard_normal((m, count))
-    im = rng.standard_normal((m, count))
-    return rx_combiner.conj() @ ((re + 1j * im) / np.sqrt(2.0))
+    if rx_combiner is None:
+        psi = angle_to_spatial(channel.aoa_deg, channel.geometry_rx)
+        rx_combiner = steering(psi, channel.geometry_rx)
+    h_row = rx_combiner.conj() @ channel.matrix()
 
+    def sweep(beams: np.ndarray, snr: float, rng) -> np.ndarray:
+        y = np.sqrt(snr) * (h_row @ beams)
+        if rng is None:
+            return y
+        shape = (len(rx_combiner), beams.shape[1])
+        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+        return y + rx_combiner.conj() @ noise
 
-def _sweep(h_row: np.ndarray, beam_matrix: np.ndarray, rx_combiner: np.ndarray,
-           snr: float, rng) -> np.ndarray:
-    """Sound every column of beam_matrix once; returns the received samples."""
-    return np.sqrt(snr) * (h_row @ beam_matrix) + _combined_noise(rx_combiner, beam_matrix.shape[1], rng)
+    return sweep
 
 
 def sound(channel: ChannelRealization, tx_precoder: np.ndarray, rx_combiner: np.ndarray,
-          snr: float, rng, beam_index: int = 0) -> SoundingResult:
+          snr: float, rng) -> SoundingResult:
     """One pilot transmission through (tx_precoder, rx_combiner) at linear SNR `snr`."""
     if snr < 0:
         raise ValueError(f"snr must be >= 0, got {snr}")
     _check_unit(tx_precoder, "tx_precoder")
     _check_unit(rx_combiner, "rx_combiner")
-    h_row = rx_combiner.conj() @ channel.matrix()
-    y = _sweep(h_row, np.asarray(tx_precoder).reshape(-1, 1), rx_combiner, snr, rng)[0]
-    return SoundingResult(sample=complex(y), power=abs(y) ** 2, beam_index=beam_index)
+    y = _sounder(channel, rx_combiner)(np.asarray(tx_precoder).reshape(-1, 1), snr, rng)[0]
+    return SoundingResult(sample=complex(y), power=abs(y) ** 2)
 
 
 def ratio_metric(chi_minus: float, chi_plus: float) -> float:
@@ -155,15 +160,27 @@ def closed_form_powers(mu: float, center: float, delta: float, num_elements: int
     return one_side(delta), one_side(-delta)
 
 
-def _clamped_estimate(mu_hat: float, geometry) -> tuple:
+def _refine(chi_minus: float, chi_plus: float, delta: float, center: float) -> tuple:
+    """Pair refinement: (zeta, mu_hat) from the two pair powers.
+
+    A degenerate pair (both powers at the floor) falls back to zeta = 0, the
+    pair center.
+    """
+    try:
+        zeta = ratio_metric(chi_minus, chi_plus)
+    except DegenerateSoundingError:
+        zeta = 0.0
+    return zeta, invert_ratio(zeta, delta, center)
+
+
+def _report(mu_hat: float, geometry, soundings: int, selection: int,
+            zeta: float = 0.0) -> EstimationReport:
+    """Clamp a spatial-frequency estimate to the visible range and report it."""
     lim = geometry.spatial_limit
     sf = float(np.clip(mu_hat, -lim, lim))
-    return spatial_to_angle(sf, geometry), sf
-
-
-def _rx_steering(channel: ChannelRealization) -> np.ndarray:
-    psi = angle_to_spatial(channel.aoa_deg, channel.geometry_rx)
-    return steering(psi, channel.geometry_rx)
+    return EstimationReport(estimate_deg=spatial_to_angle(sf, geometry), estimate_sf=sf,
+                            soundings_used=soundings, stage1_selection=selection,
+                            ratio_metric=zeta)
 
 
 def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
@@ -174,39 +191,21 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     the two steering beams on the selected beam's edges and inverts the power
     ratio. Uses J + 2 soundings for a J-beam codebook.
     """
-    rx = _rx_steering(channel)
-    h_row = rx.conj() @ channel.matrix()
+    sweep = _sounder(channel)
     beams = codebook.combined_matrix()
-    chi1 = np.abs(_sweep(h_row, beams, rx, snr, rng)) ** 2
-    j_max = int(np.argmax(chi1))
+    j_max = int(np.argmax(np.abs(sweep(beams, snr, rng)) ** 2))
     gamma = float(codebook.boresights[j_max])
-    delta = codebook.half_width
-
-    pair = build_abp(gamma, delta, codebook.geometry)
-    pair_matrix = np.stack([pair.beam_minus, pair.beam_plus], axis=1)
-    chi2 = np.abs(_sweep(h_row, pair_matrix, rx, snr, rng)) ** 2
-    try:
-        zeta = ratio_metric(chi2[0], chi2[1])
-    except DegenerateSoundingError:
-        zeta = 0.0
-    mu_hat = invert_ratio(zeta, delta, gamma)
-    est_deg, est_sf = _clamped_estimate(mu_hat, codebook.geometry)
-    return EstimationReport(estimate_deg=est_deg, estimate_sf=est_sf,
-                            soundings_used=beams.shape[1] + 2,
-                            stage1_selection=j_max, ratio_metric=zeta)
+    pair = build_abp(gamma, codebook.half_width, codebook.geometry)
+    chi2 = np.abs(sweep(np.stack([pair.beam_minus, pair.beam_plus], axis=1), snr, rng)) ** 2
+    zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma)
+    return _report(mu_hat, codebook.geometry, beams.shape[1] + 2, j_max, zeta)
 
 
 def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,
                  snr: float, rng) -> EstimationReport:
     """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
-    rx = _rx_steering(channel)
-    h_row = rx.conj() @ channel.matrix()
-    chi = np.abs(_sweep(h_row, codebook.matrix, rx, snr, rng)) ** 2
-    best = int(np.argmax(chi))
-    est_deg, est_sf = _clamped_estimate(float(codebook.boresights[best]), codebook.geometry)
-    return EstimationReport(estimate_deg=est_deg, estimate_sf=est_sf,
-                            soundings_used=codebook.num_beams,
-                            stage1_selection=best, ratio_metric=0.0)
+    best = int(np.argmax(np.abs(_sounder(channel)(codebook.matrix, snr, rng)) ** 2))
+    return _report(float(codebook.boresights[best]), codebook.geometry, codebook.num_beams, best)
 
 
 def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
@@ -218,25 +217,14 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     midpoint and the pair half width is half their spacing. Reuses the sweep
     powers, so the budget equals the codebook size.
     """
-    rx = _rx_steering(channel)
-    h_row = rx.conj() @ channel.matrix()
-    chi = np.abs(_sweep(h_row, codebook.matrix, rx, snr, rng)) ** 2
+    chi = np.abs(_sounder(channel)(codebook.matrix, snr, rng)) ** 2
     best = int(np.argmax(chi))
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:
-        mu_hat = float(codebook.boresights[best])
-        zeta = 0.0
-    else:
-        other = max(neighbors, key=lambda i: chi[i])
-        lo, hi = min(best, other), max(best, other)
-        center = 0.5 * float(codebook.boresights[lo] + codebook.boresights[hi])
-        half = 0.5 * float(codebook.boresights[hi] - codebook.boresights[lo])
-        try:
-            zeta = ratio_metric(float(chi[lo]), float(chi[hi]))
-        except DegenerateSoundingError:
-            zeta = 0.0
-        mu_hat = invert_ratio(zeta, half, center)
-    est_deg, est_sf = _clamped_estimate(mu_hat, codebook.geometry)
-    return EstimationReport(estimate_deg=est_deg, estimate_sf=est_sf,
-                            soundings_used=codebook.num_beams,
-                            stage1_selection=best, ratio_metric=zeta)
+        return _report(float(codebook.boresights[best]), codebook.geometry, codebook.num_beams, best)
+    other = max(neighbors, key=lambda i: chi[i])
+    lo, hi = min(best, other), max(best, other)
+    center = 0.5 * float(codebook.boresights[lo] + codebook.boresights[hi])
+    half = 0.5 * float(codebook.boresights[hi] - codebook.boresights[lo])
+    zeta, mu_hat = _refine(float(chi[lo]), float(chi[hi]), half, center)
+    return _report(mu_hat, codebook.geometry, codebook.num_beams, best, zeta)

@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._version import __version__
-from .arrays import ArrayGeometry
-from .beams import build_steering_codebook, build_widebeam_codebook
+from .arrays import ArrayGeometry, angle_to_spatial
+from .beams import build_steering_codebook, build_widebeam_codebook, widebeam_grid
 from .channel import make_rician, make_single_path
 from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
@@ -91,6 +91,8 @@ class ExperimentConfig:
         for prior in (self.aod_prior_deg, self.aoa_prior_deg):
             if not (-90.0 <= prior[0] < prior[1] <= 90.0):
                 raise ValueError(f"prior {prior} must be an increasing interval within [-90, 90]")
+        if not self.snr_grid_db:
+            raise ValueError("snr_grid_db must hold at least one point")
         if not all(np.isfinite(self.snr_grid_db)):
             raise ValueError("snr grid must be finite")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
@@ -99,6 +101,22 @@ class ExperimentConfig:
             raise ValueError("master_seed must be a nonnegative integer")
         if self.channel_kind == "rician" and self.num_paths < 1:
             raise ValueError("rician channels need num_paths >= 1")
+        geometry = ArrayGeometry(self.n_tot, self.tx_spacing)
+        width = (angle_to_spatial(self.aod_prior_deg[1], geometry)
+                 - angle_to_spatial(self.aod_prior_deg[0], geometry))
+        if width > 2.0 * np.pi:
+            raise ValueError(f"tx_spacing = {self.tx_spacing} with aod_prior_deg = {self.aod_prior_deg} "
+                             f"spans {width:.4g} rad, more than one 2*pi spatial period")
+        for spec in self.estimators:
+            if spec.kind.startswith("two_stage"):
+                half = widebeam_grid(width, self.n_tot, **_widebeam_options(self, spec))[1]
+            elif spec.kind == "gob_abp" and spec.beams > 1:
+                half = 0.5 * width / spec.beams
+            else:
+                continue
+            if not 0 < half < np.pi / 2:  # the domain of invert_ratio
+                raise ValueError(f"{spec.kind} = {spec.beams}: pair half width {half:.6g} rad "
+                                 f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2)")
 
 
 @dataclass(frozen=True)
@@ -117,6 +135,13 @@ class ErrorCurve:
             yield snr, mean, se, self.trials, self.soundings
 
 
+def _widebeam_options(config: ExperimentConfig, spec: EstimatorSpec) -> dict:
+    """build_widebeam_codebook keywords for a two-stage estimator entry."""
+    if spec.kind == "two_stage_nonadequate":
+        return dict(num_beams=spec.beams, k=1, delta_scale=config.nonadequate_k)
+    return dict(num_beams=spec.beams)
+
+
 class _Workspace:
     """Per-config cache of geometries and prebuilt codebooks."""
 
@@ -125,13 +150,9 @@ class _Workspace:
         self.geometry_rx = ArrayGeometry(config.m_tot, config.rx_spacing)
         self.codebooks = []
         for spec in config.estimators:
-            if spec.kind == "two_stage":
-                cb = build_widebeam_codebook(config.aod_prior_deg, self.geometry_tx,
-                                             n_rf=config.n_rf, num_beams=spec.beams)
-            elif spec.kind == "two_stage_nonadequate":
-                cb = build_widebeam_codebook(config.aod_prior_deg, self.geometry_tx,
-                                             n_rf=config.n_rf, num_beams=spec.beams,
-                                             k=1, delta_scale=config.nonadequate_k)
+            if spec.kind.startswith("two_stage"):
+                cb = build_widebeam_codebook(config.aod_prior_deg, self.geometry_tx, n_rf=config.n_rf,
+                                             **_widebeam_options(config, spec))
             else:
                 cb = build_steering_codebook(config.aod_prior_deg, spec.beams, self.geometry_tx)
             self.codebooks.append(cb)
@@ -173,7 +194,7 @@ _ESTIMATE = {
 }
 
 
-def _trial_errors(ws, config, snr_index, trial_index, only=None):
+def _trial_errors(ws, config, snr_index, trial_index):
     """Absolute angle error in degrees for one trial, per estimator entry.
 
     Estimator failures surface through the built-in fallbacks (center
@@ -182,14 +203,12 @@ def _trial_errors(ws, config, snr_index, trial_index, only=None):
     channel = _draw_channel(config, ws, _stream(config.master_seed, _CHANNEL_DOMAIN,
                                                 snr_index, trial_index))
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    indices = range(len(config.estimators)) if only is None else (only,)
     out = np.empty(len(config.estimators))
-    for ei in indices:
-        spec = config.estimators[ei]
+    for ei, spec in enumerate(config.estimators):
         noise_rng = _stream(config.master_seed, ei + 1, snr_index, trial_index)
         report = _ESTIMATE[spec.kind](channel, ws.codebooks[ei], snr, noise_rng)
         out[ei] = abs(channel.aod_deg - report.estimate_deg)
-    return out[only] if only is not None else out
+    return out
 
 
 def _resolve_estimator(config: ExperimentConfig, estimator_id: str) -> int:
@@ -208,7 +227,7 @@ def run_trial(config: ExperimentConfig, estimator_id: str, snr_db: float, trial_
     if len(matches) != 1:
         raise ValueError(f"snr_db {snr_db} is not a point of the configured grid")
     ei = _resolve_estimator(config, estimator_id)
-    return float(_trial_errors(_workspace(config), config, int(matches[0]), trial_index, only=ei))
+    return float(_trial_errors(_workspace(config), config, int(matches[0]), trial_index)[ei])
 
 
 def _run_block(args):

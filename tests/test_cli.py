@@ -1,9 +1,11 @@
 import csv
 import logging
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from beamalign import EstimatorSpec, ExperimentConfig
 from beamalign.cli import ConfigError, bundled_config, load_config, main
 
 TINY_CFG = """
@@ -77,6 +79,79 @@ def test_bundled_configs_parse():
     assert labels["fig4.cfg"] == ["two_stage_9", "gob_16", "gob_abp_16"]
     assert labels["fig5.cfg"] == labels["fig6.cfg"] == [
         "two_stage_16", "gob_16", "gob_32", "gob_abp_16", "gob_abp_32"]
+
+
+# A non-default value for every ExperimentConfig field: field -> (section, key, text, value)
+EVERY_FIELD = {
+    "n_tot": ("experiment", "n_tot", "32", 32),
+    "m_tot": ("experiment", "m_tot", "4", 4),
+    "snr_grid_db": ("experiment", "snr_grid_db", "-5, 0, 7.5", (-5.0, 0.0, 7.5)),
+    "trials": ("experiment", "trials", "12", 12),
+    "aod_prior_deg": ("experiment", "aod_prior_deg", "-40, 30", (-40.0, 30.0)),
+    "aoa_prior_deg": ("experiment", "aoa_prior_deg", "-60, 45.5", (-60.0, 45.5)),
+    "channel_kind": ("channel", "kind", "rician", "rician"),
+    "estimators": ("estimators", "gob_abp", "8, 12",
+                   (EstimatorSpec("gob_abp", 8), EstimatorSpec("gob_abp", 12))),
+    "master_seed": ("experiment", "master_seed", "99", 99),
+    "n_rf": ("experiment", "n_rf", "3", 3),
+    "k_factor_db": ("channel", "k_factor_db", "7.25", 7.25),
+    "num_paths": ("channel", "num_paths", "3", 3),
+    "nonadequate_k": ("experiment", "nonadequate_k", "1.25", 1.25),
+    "nlos_normalized": ("channel", "nlos_normalized", "yes", True),
+    "tx_spacing": ("experiment", "tx_spacing", "0.45", 0.45),
+    "rx_spacing": ("experiment", "rx_spacing", "0.4", 0.4),
+}
+
+
+def test_load_config_round_trips_every_field(tmp_path):
+    assert set(EVERY_FIELD) == {f.name for f in fields(ExperimentConfig)}
+    sections = {}
+    for section, key, text, _ in EVERY_FIELD.values():
+        sections.setdefault(section, []).append(f"{key} = {text}\n")
+    path = tmp_path / "every.cfg"
+    path.write_text("".join(f"[{name}]\n" + "".join(lines) for name, lines in sections.items()))
+    cfg = load_config(path)
+    default = ExperimentConfig()
+    for name, (_, _, _, value) in EVERY_FIELD.items():
+        assert getattr(default, name) != value, name
+        assert getattr(cfg, name) == value, name
+    # the channel keys, under either name, belong to [channel] only
+    for key in ("kind", "channel_kind", "k_factor_db", "num_paths", "nlos_normalized"):
+        path.write_text(f"[experiment]\n{key} = 1\n")
+        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[experiment\\]"):
+            load_config(path)
+
+
+def test_load_config_echoes_every_field(tiny_config, caplog):
+    with caplog.at_level(logging.INFO, logger="beamalign"):
+        load_config(tiny_config)
+    echoed = [r.getMessage() for r in caplog.records if r.getMessage().startswith("config: ")]
+    assert len(echoed) == len(fields(ExperimentConfig))
+    assert "config: trials = 60" in echoed
+    assert "config: channel_kind = 'single_path'" in echoed
+    assert "config: aod_prior_deg = (-50.0, 50.0) (default)" in echoed
+
+
+SMALL_RUN = "[experiment]\nn_tot = 16\ntrials = 3\n"
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("[estimators]\ngob = 0\n", "gob"),
+    ("aod_prior_deg = -90, 90\n[estimators]\ngob_abp = 2\n", "gob_abp"),  # half width pi/2
+    ("aod_prior_deg = -90, 90\n[estimators]\ntwo_stage = 1\n", "two_stage"),  # half width pi
+    ("tx_spacing = 0.8\n", "tx_spacing"),  # the +-50 deg span exceeds 2*pi
+    ("snr_grid_db = 10:1:5\n", "snr_grid_db"),  # stop below start: no SNR points
+], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid"])
+def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text(SMALL_RUN + extra)
+    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        load_config(path)
+    out = tmp_path / "x.csv"
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert key in caplog.text
+    assert not out.exists()
 
 
 def test_run_command(tiny_config, tmp_path, capsys):
