@@ -9,8 +9,10 @@ that the two pair beams at gamma +- delta sit exactly on the beam edges.
 
 import csv
 import itertools
+import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from time import perf_counter
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .arrays import ArrayGeometry, angle_to_spatial, spatial_to_angle, steering,
 
 __all__ = [
     "SynthesisError",
+    "HalfWidthError",
     "WidebeamPrecoder",
     "WidebeamCodebook",
     "SteeringCodebook",
@@ -26,6 +29,7 @@ __all__ = [
     "beam_power_pattern",
     "synthesize_widebeam",
     "widebeam_grid",
+    "check_half_width",
     "build_widebeam_codebook",
     "build_steering_codebook",
     "build_abp",
@@ -38,6 +42,10 @@ DEFAULT_ADEQUACY_K = 2
 # search/evaluation resolution for the widebeam optimizer
 XI_GRID_STEPS = 24
 EVAL_POINTS = 2048
+# xi candidates fitted at once: bounds synthesis memory at any candidate count
+SYNTH_BLOCK = 64
+
+log = logging.getLogger(__name__)
 
 
 class SynthesisError(RuntimeError):
@@ -49,6 +57,10 @@ class SynthesisError(RuntimeError):
     def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
+
+
+class HalfWidthError(ValueError):
+    """Half width too wide to synthesize: no pattern sample lies beyond delta + 2*pi/N."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,19 +148,82 @@ def _pattern_grid(num_points: int) -> np.ndarray:
     return (np.arange(num_points) - num_points // 2) * (2.0 * np.pi / num_points)
 
 
-def _project_nonincreasing(mags):
-    """Least-squares projection onto m_0 >= m_1 >= ... >= 0 (pool adjacent violators)."""
-    blocks = []
-    for m in mags:
-        blocks.append([float(m), 1])
-        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
-            total = blocks[-2][0] * blocks[-2][1] + blocks[-1][0] * blocks[-1][1]
-            count = blocks[-2][1] + blocks[-1][1]
-            blocks[-2:] = [[total / count, count]]
-    out = []
-    for mean, count in blocks:
-        out.extend([max(mean, 0.0)] * count)
-    return out
+def _project_nonincreasing(mags: np.ndarray) -> np.ndarray:
+    """Row-wise least-squares projection of magnitudes onto m_0 >= m_1 >= ... >= 0.
+
+    Uses the min-max form of isotonic regression,
+    m_i = min_{j <= i} max_{k >= i} mean(mags[j..k]), which pools the same
+    blocks as pool-adjacent-violators, for all rows at once. `mags` is (B, L)
+    and nonnegative.
+    """
+    length = mags.shape[1]
+    means = np.full(mags.shape + (length,), -np.inf)  # means[:, j, k] = mean(mags[:, j..k]), j <= k
+    for j in range(length):
+        for k in range(j, length):
+            means[:, j, k] = mags[:, j:k + 1].mean(axis=1)
+    return np.stack([means[:, :i + 1, i:].max(axis=2).min(axis=1) for i in range(length)], axis=1)
+
+
+def _dictionary(offsets, geom: ArrayGeometry):
+    """Steering columns at offsets (0, xi_1, -xi_1, xi_2, -xi_2, ...) and their real fit basis.
+
+    Every candidate's analog matrix is a subset of these columns. The basis
+    is the real parametrization of the baseband vector: c0 real (the global
+    phase), then Re(c_i) on a(xi_i) + a(-xi_i) and Im(c_i) on
+    j*(a(xi_i) - a(-xi_i)). It is returned stacked as [Re; Im], shape
+    (2N, len(offsets)), in the same column order as the analog one.
+    """
+    analog = steering_matrix(offsets, geom)
+    plus, minus = analog[:, 1::2], analog[:, 2::2]
+    basis = np.empty_like(analog)
+    basis[:, 0] = analog[:, 0]
+    basis[:, 1::2] = plus + minus
+    basis[:, 2::2] = 1j * (plus - minus)
+    return analog, np.concatenate([basis.real, basis.imag])
+
+
+def _coefficient_target(num_elements: int, delta: float) -> np.ndarray:
+    """The flat-top target field reduced to its N array coefficients, stacked as [Re; Im].
+
+    The target is unit in-band amplitude with the aperture-centered phase
+    ramp, sampled on F = 16N uniform fit points over one period. Since F >= N,
+    fit_resp @ fit_resp^H = (F/N) I_N, so fitting a pattern to the target over
+    the F points and fitting its N coefficients to (N/F) fit_resp @ target
+    have the same least-squares minimizer.
+    """
+    n = num_elements
+    fit_points = 16 * n
+    fit_grid = np.linspace(-np.pi, np.pi, fit_points, endpoint=False)
+    target = np.where(np.abs(fit_grid) <= delta, np.exp(-1j * (n - 1) / 2 * fit_grid), 0.0)
+    coeffs = steering_matrix(fit_grid, ArrayGeometry(n)) @ target * (n / fit_points)
+    return np.concatenate([coeffs.real, coeffs.imag])
+
+
+def _fit_weights(design: np.ndarray, target: np.ndarray, rcond: float) -> np.ndarray:
+    """Minimum-norm least-squares real weights of stacked designs (B, 2N, q) against a target (2N,).
+
+    Solved through the SVD of each design, dropping singular values at or
+    below rcond times the largest as `np.linalg.lstsq` does: the columns of
+    close xi offsets are nearly collinear, and a(xi) = a(-xi) when xi = pi
+    makes a design rank deficient. The normal equations would square the
+    condition number instead.
+    """
+    u, s, vt = np.linalg.svd(design, full_matrices=False)
+    keep = s > rcond * s[:, :1]
+    scaled = np.divide(u.mT @ target, s, out=np.zeros_like(s), where=keep)
+    return (vt.mT @ scaled[:, :, None])[:, :, 0]
+
+
+def check_half_width(delta: float, num_elements: int) -> None:
+    """Raise HalfWidthError unless a widebeam of half width delta can be scored.
+
+    The synthesizer scores each candidate's sidelobe beyond delta + 2*pi/N
+    on a pattern grid that ends at pi, so delta must stay below pi - 2*pi/N.
+    """
+    if delta + 2.0 * np.pi / num_elements >= np.pi:
+        raise HalfWidthError(
+            f"half width {delta:.6g} rad leaves no out-of-band sample at N={num_elements}: "
+            f"it must be below pi - 2*pi/N = {np.pi - 2.0 * np.pi / num_elements:.6g} rad")
 
 
 @lru_cache(maxsize=64)
@@ -161,6 +236,10 @@ def _synthesize_centered(num_elements: int, n_rf: int, delta: float):
     non-increasing magnitude ordering, then renormalization. Candidates whose
     pattern does not peak at the boresight are discarded; the winner maximizes
     the in-band minimum gain, ties broken by lowest peak sidelobe.
+
+    Candidates are fitted SYNTH_BLOCK at a time on the N-coefficient form of
+    the fit (`_coefficient_target`). Only four scores of each are kept, not
+    its pattern, and the winner is fitted again to return its weights.
     """
     n = num_elements
     geom = ArrayGeometry(n)
@@ -168,69 +247,74 @@ def _synthesize_centered(num_elements: int, n_rf: int, delta: float):
         return (0.0,), np.array([1.0 + 0.0j]), steering(0.0, geom)
     if n_rf < 3 or n_rf % 2 == 0:
         raise ValueError(f"n_rf must be odd and >= 3 (or exactly 1), got {n_rf}")
-    n_pairs = (n_rf - 1) // 2
-
-    fit_points = max(64 * n // 16, 16 * n)
-    fit_grid = np.linspace(-np.pi, np.pi, fit_points, endpoint=False)
-    fit_resp = steering_matrix(fit_grid, geom)
-    # flat-top target field: unit in-band amplitude with the aperture-centered phase ramp
-    target = np.where(np.abs(fit_grid) <= delta, np.exp(-1j * (n - 1) / 2 * fit_grid), 0.0)
-    target_ri = np.concatenate([target.real, target.imag])
-
-    eval_grid = _pattern_grid(EVAL_POINTS)
-    eval_resp = steering_matrix(eval_grid, geom)
-    center_idx = EVAL_POINTS // 2
-    in_band = np.abs(eval_grid) <= delta
-    far_out = np.abs(eval_grid) > delta + 2.0 * np.pi / n
+    check_half_width(delta, n)
+    start = perf_counter()
 
     xi_values = np.linspace(2.0 * delta / XI_GRID_STEPS, 2.0 * delta, XI_GRID_STEPS)
-    candidates = []
-    for combo in itertools.combinations(xi_values, n_pairs):
-        offsets = (0.0,) + tuple(s for xi in combo for s in (xi, -xi))
-        analog = steering_matrix(offsets, geom)
-        # real parametrization: c0 real (global phase), then Re/Im of each c_i
-        basis = [analog[:, 0]]
-        for i in range(n_pairs):
-            plus, minus = analog[:, 1 + 2 * i], analog[:, 2 + 2 * i]
-            basis.append(plus + minus)
-            basis.append(1j * (plus - minus))
-        resp = fit_resp.conj().T @ np.stack(basis, axis=1)
-        design = np.vstack([resp.real, resp.imag])
-        theta, *_ = np.linalg.lstsq(design, target_ri, rcond=None)
-        sign = 1.0 if theta[0] >= 0 else -1.0
-        c = [sign * (theta[1 + 2 * i] + 1j * theta[2 + 2 * i]) for i in range(n_pairs)]
-        mags = _project_nonincreasing([abs(theta[0])] + [abs(x) for x in c])
-        c = [ci * (m / abs(ci)) if abs(ci) > 0 else 0.0j for ci, m in zip(c, mags[1:])]
-        baseband = np.array([complex(mags[0])] + [v for ci in c for v in (ci, np.conj(ci))])
-        combined = analog @ baseband
-        nrm = np.linalg.norm(combined)
-        if nrm < 1e-12:
-            continue
-        candidates.append((offsets, baseband / nrm, combined / nrm))
+    offsets = [0.0] + [s for xi in xi_values for s in (xi, -xi)]
+    analog, basis = _dictionary(offsets, geom)
+    target = _coefficient_target(n, delta)
+    # the cutoff lstsq applies to the same fit on its 2F = 32N sample rows
+    rcond = np.finfo(float).eps * 32 * n
+    # each candidate's dictionary columns: 0, then 2j+1 and 2j+2 for each chosen xi_j, in
+    # itertools.combinations order
+    pairs = np.array(list(itertools.combinations(range(XI_GRID_STEPS), (n_rf - 1) // 2)))
+    columns = np.concatenate([np.zeros((len(pairs), 1), dtype=int),
+                              (1 + 2 * pairs[:, :, None] + np.arange(2)).reshape(len(pairs), -1)], axis=1)
 
-    if not candidates:
+    def fit(cols):
+        """Unit-norm baseband and combined vectors of the candidates with columns `cols`, and their norms."""
+        theta = _fit_weights(basis[:, cols].transpose(1, 0, 2), target, rcond)
+        sign = np.where(theta[:, :1] >= 0, 1.0, -1.0)
+        c = sign * (theta[:, 1::2] + 1j * theta[:, 2::2])
+        size = np.abs(c)
+        mags = _project_nonincreasing(np.concatenate([np.abs(theta[:, :1]), size], axis=1))
+        c = c * np.divide(mags[:, 1:], size, out=np.zeros_like(size), where=size > 0)
+        baseband = np.empty(cols.shape, dtype=complex)
+        baseband[:, 0] = mags[:, 0]
+        baseband[:, 1::2] = c
+        baseband[:, 2::2] = c.conj()
+        combined = (analog[:, cols].transpose(1, 0, 2) @ baseband[:, :, None])[:, :, 0]
+        nrm = np.linalg.norm(combined, axis=1)
+        safe = np.where(nrm < 1e-12, 1.0, nrm)[:, None]
+        return baseband / safe, combined / safe, nrm
+
+    eval_grid = _pattern_grid(EVAL_POINTS)
+    eval_resp_h = steering_matrix(eval_grid, geom).conj().T
+    in_band = np.abs(eval_grid) <= delta
+    far_out = np.abs(eval_grid) > delta + 2.0 * np.pi / n
+    boresight_gain, peak_gain, in_band_min, sidelobe = np.empty((4, len(columns)))
+    usable = np.empty(len(columns), dtype=bool)
+    for first in range(0, len(columns), SYNTH_BLOCK):
+        block = slice(first, first + SYNTH_BLOCK)
+        _, combined, nrm = fit(columns[block])
+        patterns = np.abs(eval_resp_h @ combined.T) ** 2
+        boresight_gain[block] = patterns[EVAL_POINTS // 2]
+        peak_gain[block] = patterns.max(axis=0)
+        in_band_min[block] = patterns[in_band].min(axis=0)
+        sidelobe[block] = patterns[far_out].max(axis=0)
+        usable[block] = nrm >= 1e-12
+
+    ids = np.flatnonzero(usable)
+    if not len(ids):
         raise SynthesisError(f"no usable widebeam candidate for N={n}, n_rf={n_rf}, delta={delta!r}")
-
-    patterns = np.abs(eval_resp.conj().T @ np.stack([c[2] for c in candidates], axis=1)) ** 2
-    boresight_gain = patterns[center_idx]
-    peak_gain = patterns.max(axis=0)
-    center_peaked = boresight_gain >= peak_gain - 1e-12
-    in_band_min = patterns[in_band].min(axis=0)
-    sidelobe = patterns[far_out].max(axis=0)
-
-    order = np.lexsort((sidelobe, -in_band_min))
-    best_overall = order[0]
-    eligible = [i for i in order if center_peaked[i]]
-    winner = eligible[0] if eligible else None
+    order = ids[np.lexsort((sidelobe[ids], -in_band_min[ids]))]
+    eligible = order[boresight_gain[order] >= peak_gain[order] - 1e-12]
+    winner = eligible[0] if len(eligible) else None
+    idx = winner if winner is not None else order[0]
+    baseband, combined, _ = fit(columns[idx:idx + 1])
+    candidate = (tuple(offsets[c] for c in columns[idx]), baseband[0], combined[0])
+    log.debug("widebeam N=%d n_rf=%d delta=%.6g: %d candidates, offsets %s, "
+              "in-band min / boresight %.4g, sidelobe %.4g, %.3f s",
+              n, n_rf, delta, len(columns), tuple(round(float(o), 6) for o in candidate[0]),
+              in_band_min[idx] / boresight_gain[idx], sidelobe[idx], perf_counter() - start)
     if winner is None or in_band_min[winner] <= 0.5 * boresight_gain[winner]:
-        idx = winner if winner is not None else best_overall
-        best = _make_precoder(0.0, delta, candidates[idx], geom)
         raise SynthesisError(
             f"flat-top synthesis failed for N={n}, n_rf={n_rf}, delta={delta!r}: "
             f"in-band minimum {in_band_min[idx]:.4g} vs boresight {boresight_gain[idx]:.4g}",
-            best=best,
+            best=_make_precoder(0.0, delta, candidate, geom),
         )
-    return candidates[winner]
+    return candidate
 
 
 def _make_precoder(boresight, delta, candidate, geom) -> WidebeamPrecoder:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .arrays import ArrayGeometry, angle_to_spatial
 from .beams import (
+    HalfWidthError,
     SynthesisError,
     build_widebeam_codebook,
     is_adequate,
@@ -178,6 +179,9 @@ def _cmd_pattern(args) -> int:
     except SynthesisError as exc:
         log.error("synthesis failed: %s", exc)
         return EXIT_SYNTHESIS
+    except HalfWidthError as exc:
+        log.error("--half-width-k: %s", exc)
+        return EXIT_CONFIG
     except (ConfigError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
@@ -201,6 +205,9 @@ def _cmd_codebook(args) -> int:
     except SynthesisError as exc:
         log.error("synthesis failed: %s", exc)
         return EXIT_SYNTHESIS
+    except HalfWidthError as exc:
+        log.error("--k: %s", exc)
+        return EXIT_CONFIG
     except ValueError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG

@@ -17,7 +17,8 @@ import numpy as np
 
 from ._version import __version__
 from .arrays import ArrayGeometry, angle_to_spatial
-from .beams import build_steering_codebook, build_widebeam_codebook, widebeam_grid
+from .beams import (HalfWidthError, build_steering_codebook, build_widebeam_codebook, check_half_width,
+                    widebeam_grid)
 from .channel import make_rician, make_single_path
 from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
@@ -82,6 +83,12 @@ class ExperimentConfig:
     rx_spacing: float = 0.5
 
     def __post_init__(self):
+        for key in ("n_tot", "m_tot"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("tx_spacing", "rx_spacing"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.channel_kind not in CHANNEL_KINDS:
@@ -117,6 +124,11 @@ class ExperimentConfig:
             if not 0 < half < np.pi / 2:  # the domain of invert_ratio
                 raise ValueError(f"{spec.kind} = {spec.beams}: pair half width {half:.6g} rad "
                                  f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2)")
+            if spec.kind.startswith("two_stage") and self.n_rf != 1:  # one chain needs no synthesis
+                try:
+                    check_half_width(half, self.n_tot)
+                except HalfWidthError as exc:
+                    raise ValueError(f"{spec.kind} = {spec.beams}: {exc}") from None
 
 
 @dataclass(frozen=True)

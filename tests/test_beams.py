@@ -1,8 +1,11 @@
 import csv
+import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from beamalign import beams
 from beamalign import (
     ArrayGeometry,
     SynthesisError,
@@ -13,6 +16,7 @@ from beamalign import (
     build_widebeam_codebook,
     is_adequate,
     steering,
+    steering_matrix,
     synthesize_widebeam,
     write_codebook_csv,
     write_pattern_csv,
@@ -126,6 +130,134 @@ def test_synthesize_failure_carries_best_candidate():
     best = exc_info.value.best
     assert best is not None
     assert abs(np.linalg.norm(best.combined) - 1.0) < 1e-12
+
+
+# Synthesizer outputs recorded from the per-candidate 2F-row lstsq synthesizer:
+# (N, n_rf, delta) -> (offsets, baseband). Combined weights are a(offsets) @ baseband.
+PINNED_BEAMS = {
+    (16, 5, 2 * np.pi / 16): (
+        (0.0, 0.1636246173744684, -0.1636246173744684, 0.5890486225480862, -0.5890486225480862),
+        [(1.473005179575327+0j), (-0.4962404989931123+1.3868992848129988j),
+         (-0.4962404989931123-1.3868992848129988j), (0.027178655384615863-0.08959601951606119j),
+         (0.027178655384615863+0.08959601951606119j)]),
+    (16, 5, 1.5 * np.pi / 16): (
+        (0.0, 0.14726215563702155, -0.14726215563702155, 0.36815538909255385, -0.36815538909255385),
+        [(1.1819913066632506+0j), (-0.5314366830290501+1.055783358913456j),
+         (-0.5314366830290501-1.055783358913456j), (0.18958045061332482+0.0758147764783488j),
+         (0.18958045061332482-0.0758147764783488j)]),
+    (32, 5, 2 * np.pi / 32): (
+        (0.0, 0.0818123086872342, -0.0818123086872342, 0.2945243112740431, -0.2945243112740431),
+        [(1.478780128904161+0j), (-0.44083001282352635+1.4115451000360622j),
+         (-0.44083001282352635-1.4115451000360622j), (0.012202335342571109-0.0822614629468567j),
+         (0.012202335342571109+0.0822614629468567j)]),
+    (32, 7, 2 * np.pi / 32): (
+        (0.0, 0.21271200258680895, -0.21271200258680895, 0.26179938779914946, -0.26179938779914946,
+         0.2781618495365963, -0.2781618495365963),
+        [(0.7014531691784397+0j), (-0.6929957368182585+0.10859768552872372j),
+         (-0.6929957368182585-0.10859768552872372j), (0.4270176336517705-0.556500214825582j),
+         (0.4270176336517705+0.556500214825582j), (-0.216307392673909+0.5103620336688403j),
+         (-0.216307392673909-0.5103620336688403j)]),
+    (16, 3, 5 * np.pi / 16): (  # no candidate meets the flat-top floor: SynthesisError.best
+        (0.0, 0.8999353955595762, -0.8999353955595762),
+        [(0.6765883721079611+0j), (0.3887149396485528-0.19566265789911708j),
+         (0.3887149396485528+0.19566265789911708j)]),
+}
+
+
+@pytest.mark.parametrize("case", PINNED_BEAMS, ids=lambda c: f"N{c[0]}-rf{c[1]}-{c[2] * c[0] / np.pi:g}pi")
+def test_synthesis_matches_pinned_beams(case):
+    n, n_rf, delta = case
+    geom = ArrayGeometry(n)
+    if n_rf == 3:
+        with pytest.raises(SynthesisError) as exc_info:
+            synthesize_widebeam(0.0, delta, n_rf, geom)
+        beam = exc_info.value.best
+    else:
+        beam = synthesize_widebeam(0.0, delta, n_rf, geom, allow_nonadequate=True)
+    offsets, baseband = PINNED_BEAMS[case]
+    assert beam.offsets == offsets
+    np.testing.assert_allclose(beam.baseband_vector, baseband, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(beam.combined, steering_matrix(offsets, geom) @ np.array(baseband),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, n_rf", [(16, 5), (32, 7)])
+def test_coefficient_fit_matches_sample_fit(n, n_rf):
+    # the 2N-row fit on the array coefficients has the minimizer of the 2F-row fit on the pattern
+    rng = np.random.default_rng(n * n_rf)
+    geom = ArrayGeometry(n)
+    delta = 2 * np.pi / n
+    fit_grid = np.linspace(-np.pi, np.pi, 16 * n, endpoint=False)
+    target = np.where(np.abs(fit_grid) <= delta, np.exp(-1j * (n - 1) / 2 * fit_grid), 0.0)
+    fit_resp_h = steering_matrix(fit_grid, geom).conj().T
+    fitted = 0
+    while fitted < 20:
+        xi = np.sort(rng.uniform(0.0, 2 * delta, (n_rf - 1) // 2))
+        # offsets closer than pi/N make the columns nearly collinear; any two least-squares
+        # solvers then differ by up to cond * eps, so the comparison keeps them apart
+        if np.diff(xi, prepend=0.0).min() < np.pi / n:
+            continue
+        fitted += 1
+        _, basis = beams._dictionary([0.0] + [s for x in xi for s in (x, -x)], geom)
+        resp = fit_resp_h @ (basis[:n] + 1j * basis[n:])
+        expected, *_ = np.linalg.lstsq(np.vstack([resp.real, resp.imag]),
+                                       np.concatenate([target.real, target.imag]), rcond=None)
+        theta = beams._fit_weights(basis[None], beams._coefficient_target(n, delta),
+                                   np.finfo(float).eps * 32 * n)[0]
+        np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-12)
+
+
+def _pool_adjacent_violators(mags):
+    """Scalar reference: least-squares projection onto m_0 >= m_1 >= ... >= 0."""
+    blocks = []
+    for m in mags:
+        blocks.append([float(m), 1])
+        while len(blocks) > 1 and blocks[-2][0] < blocks[-1][0]:
+            total = blocks[-2][0] * blocks[-2][1] + blocks[-1][0] * blocks[-1][1]
+            count = blocks[-2][1] + blocks[-1][1]
+            blocks[-2:] = [[total / count, count]]
+    return [max(mean, 0.0) for mean, count in blocks for _ in range(count)]
+
+
+@pytest.mark.parametrize("length", [1, 2, 4, 7])
+def test_rowwise_projection_matches_pool_adjacent_violators(length):
+    rng = np.random.default_rng(length)
+    mags = np.abs(rng.standard_normal((300, length)))
+    mags[:100] = np.sort(mags[:100], axis=1)[:, ::-1]  # already non-increasing
+    mags[100:150] = mags[100:150, :1]  # all equal
+    expected = [_pool_adjacent_violators(row) for row in mags]
+    np.testing.assert_allclose(beams._project_nonincreasing(mags), expected, rtol=1e-15, atol=0)
+
+
+def test_synthesis_memory_is_bounded():
+    # all 2024 candidates of N=32, n_rf=7 must never be held at once
+    tracemalloc.start()
+    try:
+        beams._synthesize_centered.__wrapped__(32, 7, 2 * np.pi / 32)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
+
+
+@pytest.mark.parametrize("k", [14, 16])
+def test_synthesize_rejects_half_width_without_out_of_band_sample(k, monkeypatch):
+    def no_fit(*args):
+        raise AssertionError("a candidate was fitted")
+
+    monkeypatch.setattr(beams, "_fit_weights", no_fit)
+    with pytest.raises(ValueError, match=rf"half width {k * np.pi / 16:.6g} rad .* "
+                                         r"below pi - 2\*pi/N = 2\.74889 rad"):
+        synthesize_widebeam(0.0, k * np.pi / 16, 5, GEOM16)
+
+
+def test_synthesis_logs_one_debug_line(caplog):
+    with caplog.at_level(logging.DEBUG, logger="beamalign"):
+        beams._synthesize_centered.__wrapped__(16, 5, 2 * np.pi / 16)
+    lines = [r.getMessage() for r in caplog.records if r.name == "beamalign.beams"]
+    assert len(lines) == 1
+    assert lines[0].startswith("widebeam N=16 n_rf=5 delta=0.392699: 276 candidates, "
+                               "offsets (0.0, 0.163625, -0.163625, 0.589049, -0.589049)")
 
 
 def test_codebook_default_counts_16():

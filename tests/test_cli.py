@@ -132,7 +132,7 @@ def test_load_config_echoes_every_field(tiny_config, caplog):
     assert "config: aod_prior_deg = (-50.0, 50.0) (default)" in echoed
 
 
-SMALL_RUN = "[experiment]\nn_tot = 16\ntrials = 3\n"
+SMALL_RUN = "[experiment]\ntrials = 3\n"
 
 
 @pytest.mark.parametrize("extra, key", [
@@ -141,7 +141,13 @@ SMALL_RUN = "[experiment]\nn_tot = 16\ntrials = 3\n"
     ("aod_prior_deg = -90, 90\n[estimators]\ntwo_stage = 1\n", "two_stage"),  # half width pi
     ("tx_spacing = 0.8\n", "tx_spacing"),  # the +-50 deg span exceeds 2*pi
     ("snr_grid_db = 10:1:5\n", "snr_grid_db"),  # stop below start: no SNR points
-], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid"])
+    ("n_tot = 0\n", "n_tot"),
+    ("m_tot = 0\n", "m_tot"),
+    ("tx_spacing = 0\n", "tx_spacing"),
+    ("rx_spacing = -0.5\n", "rx_spacing"),
+    ("n_tot = 3\n[estimators]\ntwo_stage = 3\n", "two_stage"),  # pi/3: no out-of-band sample at N=3
+], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
+        "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)
@@ -253,3 +259,23 @@ def test_codebook_command_nonadequate_gate(tmp_path):
     assert main(args + ["--allow-nonadequate"]) == 0
     rows = read_rows(out)
     assert rows[1][3] == ""  # no adequacy integer for the scaled half width
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["codebook", "--n-tot", "16", "--k", "14"], "--k"),
+    (["codebook", "--n-tot", "16", "--k", "16"], "--k"),
+    (["pattern", "--n-tot", "16", "--half-width-k", "14"], "--half-width-k"),
+], ids=["codebook-k14", "codebook-k16", "pattern-k14"])
+def test_half_width_without_out_of_band_sample_exits_2(tmp_path, caplog, args, flag):
+    out = tmp_path / "x.csv"
+    with caplog.at_level(logging.ERROR):
+        assert main(args + ["--out", str(out)]) == 2
+    assert f"{flag}: half width" in caplog.text
+    assert "below pi - 2*pi/N" in caplog.text
+    assert not out.exists()
+
+
+def test_codebook_synthesis_failure_exits_3(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["codebook", "--n-tot", "16", "--k", "13", "--out", str(out)]) == 3
+    assert not out.exists()
