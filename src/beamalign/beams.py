@@ -11,7 +11,7 @@ import csv
 import itertools
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from time import perf_counter
 
 import numpy as np
@@ -29,6 +29,7 @@ __all__ = [
     "beam_power_pattern",
     "synthesize_widebeam",
     "widebeam_grid",
+    "check_n_rf",
     "check_half_width",
     "build_widebeam_codebook",
     "build_steering_codebook",
@@ -63,6 +64,11 @@ class HalfWidthError(ValueError):
     """Half width too wide to synthesize: no pattern sample lies beyond delta + 2*pi/N."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class WidebeamPrecoder:
     """Unit-norm widebeam: analog steering columns times a baseband vector."""
@@ -78,7 +84,11 @@ class WidebeamPrecoder:
 
 @dataclass(frozen=True, eq=False)
 class WidebeamCodebook:
-    """Uniformly spaced widebeams sharing one half width over a spatial-frequency span."""
+    """Uniformly spaced widebeams sharing one half width over a spatial-frequency span.
+
+    The stacked beams, their boresights and the auxiliary beam pairs on their
+    edges are built on first use and kept, read-only.
+    """
 
     beams: tuple
     span: tuple  # (lo, hi) spatial frequency interval covered
@@ -90,12 +100,26 @@ class WidebeamCodebook:
         return self.beams[0].half_width
 
     @property
-    def boresights(self) -> np.ndarray:
-        return np.array([b.boresight for b in self.beams])
+    def num_beams(self) -> int:
+        return len(self.beams)
 
-    def combined_matrix(self) -> np.ndarray:
+    @cached_property
+    def boresights(self) -> np.ndarray:
+        return _read_only(np.array([b.boresight for b in self.beams]))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
         """All combined precoders as columns, shape (N, J)."""
-        return np.stack([b.combined for b in self.beams], axis=1)
+        return _read_only(np.stack([b.combined for b in self.beams], axis=1))
+
+    @cached_property
+    def pairs(self) -> tuple:
+        """Per beam j, its auxiliary pair [a(gamma_j - delta), a(gamma_j + delta)], shape (N, 2)."""
+        out = []
+        for b in self.beams:
+            pair = build_abp(b.boresight, self.half_width, self.geometry)
+            out.append(_read_only(np.stack([pair.beam_minus, pair.beam_plus], axis=1)))
+        return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +238,16 @@ def _fit_weights(design: np.ndarray, target: np.ndarray, rcond: float) -> np.nda
     return (vt.mT @ scaled[:, :, None])[:, :, 0]
 
 
+def check_n_rf(n_rf: int) -> None:
+    """Raise ValueError unless n_rf is 1 (a plain steering beam) or odd and >= 3.
+
+    The analog offsets come in symmetric pairs around boresight, so a
+    widebeam needs an odd number of RF chains.
+    """
+    if not (n_rf == 1 or (n_rf >= 3 and n_rf % 2 == 1)):
+        raise ValueError(f"n_rf must be odd and >= 3 (or exactly 1), got {n_rf}")
+
+
 def check_half_width(delta: float, num_elements: int) -> None:
     """Raise HalfWidthError unless a widebeam of half width delta can be scored.
 
@@ -243,10 +277,9 @@ def _synthesize_centered(num_elements: int, n_rf: int, delta: float):
     """
     n = num_elements
     geom = ArrayGeometry(n)
+    check_n_rf(n_rf)
     if n_rf == 1:
         return (0.0,), np.array([1.0 + 0.0j]), steering(0.0, geom)
-    if n_rf < 3 or n_rf % 2 == 0:
-        raise ValueError(f"n_rf must be odd and >= 3 (or exactly 1), got {n_rf}")
     check_half_width(delta, n)
     start = perf_counter()
 

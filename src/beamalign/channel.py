@@ -2,11 +2,14 @@
 
 A realization stores path parameters (complex gain, AoD, AoA); the channel
 matrix is materialized on demand as a sum of rank-1 outer products
-a_r(psi_i) a_t(mu_i)^H weighted by the Rician K-factor split.
+a_r(psi_i) a_t(mu_i)^H weighted by the Rician K-factor split. The matched
+receive row rx^H H, which every estimator sounds through, is formed once per
+realization.
 """
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 from .arrays import ArrayGeometry, angle_to_spatial, steering
 
@@ -30,7 +33,11 @@ class PathParams:
 
 @dataclass(frozen=True, eq=False)
 class ChannelRealization:
-    """Path list plus geometries; `matrix()` materializes the M x N channel."""
+    """Path list plus geometries; `matrix()` materializes the M x N channel.
+
+    `matched_combiner` and `matched_row` are computed on first use and kept,
+    read-only, for the life of the realization.
+    """
 
     paths: tuple
     los_index: int
@@ -76,6 +83,20 @@ class ChannelRealization:
             a_t = steering(angle_to_spatial(path.aod_deg, self.geometry_tx), self.geometry_tx)
             h += (w * path.gain) * np.outer(a_r, a_t.conj())
         return h
+
+    @cached_property
+    def matched_combiner(self) -> np.ndarray:
+        """Unit-norm receive combiner a_r(psi) steered at the dominant path's arrival angle."""
+        rx = steering(angle_to_spatial(self.aoa_deg, self.geometry_rx), self.geometry_rx)
+        rx.flags.writeable = False
+        return rx
+
+    @cached_property
+    def matched_row(self) -> np.ndarray:
+        """h_row = rx^H H for the matched combiner: what each transmit beam f is seen through."""
+        row = self.matched_combiner.conj() @ self.matrix()
+        row.flags.writeable = False
+        return row
 
 
 def make_single_path(aod_deg: float, aoa_deg: float, g: complex,

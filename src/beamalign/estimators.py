@@ -11,8 +11,8 @@ of the two beam powers and inverts its closed form to the off-center angle.
 import numpy as np
 from dataclasses import dataclass
 
-from .arrays import angle_to_spatial, spatial_to_angle, steering
-from .beams import SteeringCodebook, WidebeamCodebook, build_abp, is_adequate
+from .arrays import spatial_to_angle
+from .beams import SteeringCodebook, WidebeamCodebook, is_adequate
 from .channel import ChannelRealization
 
 __all__ = [
@@ -30,6 +30,7 @@ __all__ = [
 
 POWER_FLOOR = 1e-300
 _NORM_TOL = 1e-8
+_SQRT2 = float(np.sqrt(2.0))  # the CN(0, 1) noise scale
 
 
 class DegenerateSoundingError(RuntimeError):
@@ -66,23 +67,26 @@ def _sounder(channel: ChannelRealization, rx_combiner: np.ndarray | None = None)
 
     Returns sweep(beams, snr, rng): the received samples
     y = sqrt(snr) * rx^H H f + rx^H n for every column f of `beams`, each with
-    fresh CN(0, I) noise n; rng=None models noiseless sounding. h_row = rx^H H
-    is formed once, so every sweep of one estimator call shares it. The
-    default combiner is the matched receiver, steered at the arrival angle of
-    the dominant path.
+    fresh CN(0, I) noise n; rng=None models noiseless sounding. The default
+    combiner is the matched receiver, steered at the arrival angle of the
+    dominant path; its row h_row = rx^H H belongs to the channel, so every
+    estimator sounding one draw shares it. An explicit combiner forms its own
+    h_row.
     """
     if rx_combiner is None:
-        psi = angle_to_spatial(channel.aoa_deg, channel.geometry_rx)
-        rx_combiner = steering(psi, channel.geometry_rx)
-    h_row = rx_combiner.conj() @ channel.matrix()
+        rx_combiner, h_row = channel.matched_combiner, channel.matched_row
+    else:
+        h_row = rx_combiner.conj() @ channel.matrix()
+    rx_h = rx_combiner.conj()
+    m = len(rx_combiner)
 
     def sweep(beams: np.ndarray, snr: float, rng) -> np.ndarray:
         y = np.sqrt(snr) * (h_row @ beams)
         if rng is None:
             return y
-        shape = (len(rx_combiner), beams.shape[1])
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-        return y + rx_combiner.conj() @ noise
+        shape = (m, beams.shape[1])
+        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / _SQRT2
+        return y + rx_h @ noise
 
     return sweep
 
@@ -109,7 +113,7 @@ def ratio_metric(chi_minus: float, chi_plus: float) -> float:
     total = chi_minus + chi_plus
     if total < POWER_FLOOR:
         raise DegenerateSoundingError("pair powers are both at the floor")
-    return float(np.clip((chi_minus - chi_plus) / total, -1.0, 1.0))
+    return float(min(max((chi_minus - chi_plus) / total, -1.0), 1.0))
 
 
 def invert_ratio(zeta: float, delta: float, center: float) -> float:
@@ -122,7 +126,7 @@ def invert_ratio(zeta: float, delta: float, center: float) -> float:
     """
     if not 0 < delta < np.pi / 2:
         raise ValueError(f"delta must be in (0, pi/2), got {delta}")
-    z = float(np.clip(zeta, -1.0, 1.0))
+    z = min(max(float(zeta), -1.0), 1.0)
     if z == -1.0:
         return center + delta
     if z == 1.0:
@@ -177,7 +181,7 @@ def _report(mu_hat: float, geometry, soundings: int, selection: int,
             zeta: float = 0.0) -> EstimationReport:
     """Clamp a spatial-frequency estimate to the visible range and report it."""
     lim = geometry.spatial_limit
-    sf = float(np.clip(mu_hat, -lim, lim))
+    sf = float(min(max(mu_hat, -lim), lim))
     return EstimationReport(estimate_deg=spatial_to_angle(sf, geometry), estimate_sf=sf,
                             soundings_used=soundings, stage1_selection=selection,
                             ratio_metric=zeta)
@@ -192,13 +196,11 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     ratio. Uses J + 2 soundings for a J-beam codebook.
     """
     sweep = _sounder(channel)
-    beams = codebook.combined_matrix()
-    j_max = int(np.argmax(np.abs(sweep(beams, snr, rng)) ** 2))
+    j_max = int(np.argmax(np.abs(sweep(codebook.matrix, snr, rng)) ** 2))
     gamma = float(codebook.boresights[j_max])
-    pair = build_abp(gamma, codebook.half_width, codebook.geometry)
-    chi2 = np.abs(sweep(np.stack([pair.beam_minus, pair.beam_plus], axis=1), snr, rng)) ** 2
+    chi2 = np.abs(sweep(codebook.pairs[j_max], snr, rng)) ** 2
     zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma)
-    return _report(mu_hat, codebook.geometry, beams.shape[1] + 2, j_max, zeta)
+    return _report(mu_hat, codebook.geometry, codebook.num_beams + 2, j_max, zeta)
 
 
 def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,

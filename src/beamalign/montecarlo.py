@@ -18,7 +18,7 @@ import numpy as np
 from ._version import __version__
 from .arrays import ArrayGeometry, angle_to_spatial
 from .beams import (HalfWidthError, build_steering_codebook, build_widebeam_codebook, check_half_width,
-                    widebeam_grid)
+                    check_n_rf, widebeam_grid)
 from .channel import make_rician, make_single_path
 from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
@@ -91,6 +91,7 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        check_n_rf(self.n_rf)
         if self.channel_kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel_kind!r}; expected one of {CHANNEL_KINDS}")
         if not self.estimators:

@@ -146,8 +146,11 @@ SMALL_RUN = "[experiment]\ntrials = 3\n"
     ("tx_spacing = 0\n", "tx_spacing"),
     ("rx_spacing = -0.5\n", "rx_spacing"),
     ("n_tot = 3\n[estimators]\ntwo_stage = 3\n", "two_stage"),  # pi/3: no out-of-band sample at N=3
+    ("n_rf = 4\n", "n_rf"),  # widebeam offsets come in pairs: n_rf must be odd
+    ("n_rf = 0\n[estimators]\ngob = 16\n", "n_rf"),  # rejected even with no widebeam to synthesize
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
-        "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe"])
+        "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
+        "n_rf-even", "n_rf-zero-without-two-stage"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)

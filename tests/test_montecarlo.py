@@ -1,6 +1,11 @@
+import dataclasses
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from beamalign import beams, montecarlo
 from beamalign import (
     ErrorCurve,
     EstimatorSpec,
@@ -10,6 +15,7 @@ from beamalign import (
     run_trial,
     write_results_csv,
 )
+from beamalign.channel import ChannelRealization
 from beamalign.cli import bundled_config, load_config
 from beamalign.montecarlo import _stream, _trial_errors, _workspace
 
@@ -194,6 +200,45 @@ def test_trial_errors_are_pinned(name, snr_index):
     ws = _workspace(cfg)
     got = [_trial_errors(ws, cfg, snr_index, t) for t in range(20)]
     np.testing.assert_allclose(got, PINNED_TRIAL_ERRORS[(name, snr_index)], rtol=1e-9, atol=0)
+
+
+def test_trial_sounds_each_draw_once(monkeypatch):
+    """A warm trial builds one channel matrix, no beam pair, and one estimate per entry."""
+    cfg = load_config(bundled_config("fig6.cfg"))
+    ws = _workspace(cfg)
+    _trial_errors(ws, cfg, 4, 0)  # first use builds the codebooks' stored beams and pairs
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ChannelRealization, "matrix", counted("matrix", ChannelRealization.matrix))
+    monkeypatch.setattr(beams, "build_abp", counted("build_abp", beams.build_abp))
+    for kind, fn in list(montecarlo._ESTIMATE.items()):
+        monkeypatch.setitem(montecarlo._ESTIMATE, kind, counted(fn.__name__, fn))
+    _trial_errors(ws, cfg, 4, 1)
+    assert calls == Counter(matrix=1, estimate_two_stage=1, estimate_gob=2, estimate_gob_abp=2)
+
+
+# sha256 of write_results_csv at 20 trials x 3 SNR points, workers 1, recorded
+# before the per-draw and per-codebook sharing of sounding work. Any change of
+# a single output bit fails here; only a deliberate change of the seeding
+# contract (or of the version in the header) re-records these.
+PINNED_CSV_SHA256 = {
+    "fig4.cfg": "214b163696bc205ae80935f9d76aa4b291ac15a6730e4a6fa2da3941ab8e6792",
+    "fig6.cfg": "2c8680dc76c5da20a1a2a3fed8aba06ca2feaf268c6485478e5415bd65a7f5aa",
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_CSV_SHA256))
+def test_results_csv_bytes_are_pinned(name, tmp_path):
+    cfg = dataclasses.replace(load_config(bundled_config(name)), trials=20, snr_grid_db=(0.0, 15.0, 30.0))
+    path = tmp_path / "results.csv"
+    write_results_csv(run_sweep(cfg, workers=1), path, cfg)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[name]
 
 
 def test_stream_independence():
