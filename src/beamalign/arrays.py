@@ -6,6 +6,7 @@ the spatial frequency 2*pi*(d/lambda)*sin(angle), in radians per element.
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 __all__ = [
     "ArrayGeometry",
@@ -34,6 +35,16 @@ class ArrayGeometry:
     def spatial_limit(self) -> float:
         """Largest spatial frequency reachable by a physical angle, 2*pi*(d/lambda)."""
         return 2.0 * np.pi * self.element_spacing
+
+    @cached_property
+    def _steering_constants(self) -> tuple:
+        """(1j * arange(N), sqrt(N)): the per-geometry constants of `steering`, the ramp read-only.
+
+        Cached outside the dataclass fields, so equality and hashing are unchanged.
+        """
+        ramp = 1j * np.arange(self.num_elements)
+        ramp.flags.writeable = False
+        return ramp, np.sqrt(self.num_elements)
 
 
 def angle_to_spatial(angle_deg, geom: ArrayGeometry):
@@ -75,8 +86,8 @@ def spatial_to_angle(sf, geom: ArrayGeometry):
 
 def steering(sf: float, geom: ArrayGeometry) -> np.ndarray:
     """Unit-norm array response: entry m is exp(j*m*sf)/sqrt(N)."""
-    n = geom.num_elements
-    return np.exp(1j * np.arange(n) * sf) / np.sqrt(n)
+    ramp, norm = geom._steering_constants
+    return np.exp(ramp * sf) / norm
 
 
 def steering_matrix(sfs, geom: ArrayGeometry) -> np.ndarray:

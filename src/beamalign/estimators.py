@@ -84,9 +84,8 @@ def _sounder(channel: ChannelRealization, rx_combiner: np.ndarray | None = None)
         y = np.sqrt(snr) * (h_row @ beams)
         if rng is None:
             return y
-        shape = (m, beams.shape[1])
-        noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / _SQRT2
-        return y + rx_h @ noise
+        re, im = rng.standard_normal((2, m, beams.shape[1]))  # all real parts, then all imaginary
+        return y + rx_h @ ((re + 1j * im) / _SQRT2)
 
     return sweep
 

@@ -5,6 +5,9 @@ Seeding contract: the stream for any draw is derived solely from
 keys, where domain 0 is the channel draw shared by every estimator (common
 random numbers) and domain e+1 is the sounding noise of estimator entry e.
 Results are therefore bit-identical for any worker count and execution order.
+A trial block derives all of its streams in one array pass that repeats
+SeedSequence's hash word for word (`_spawn_words`), and loads each into one
+generator per domain (`_reseat`); `_stream` is the one-stream definition.
 """
 
 import csv
@@ -34,8 +37,17 @@ __all__ = [
 
 ESTIMATOR_KINDS = ("two_stage", "two_stage_nonadequate", "gob", "gob_abp")
 CHANNEL_KINDS = ("single_path", "rician")
-_CHANNEL_DOMAIN = 0
 _TRIAL_BLOCK = 500
+_MAX_TRIALS = 2 ** 32  # every spawn-key entry is one uint32 word
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, a port of
+# O'Neill's seed_seq) and PCG64's seeding multiplier (pcg64.h)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -89,8 +101,8 @@ class ExperimentConfig:
         for key in ("tx_spacing", "rx_spacing"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= _MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, 2**32], got {self.trials}")
         check_n_rf(self.n_rf)
         if self.channel_kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel_kind!r}; expected one of {CHANNEL_KINDS}")
@@ -187,6 +199,60 @@ def _stream(master_seed: int, domain: int, snr_index: int, trial_index: int) -> 
     return np.random.default_rng(seq)
 
 
+def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
+    """init * mult**k mod 2**32 for k = first .. first + count - 1, as a (count, 1, 1) uint32 array."""
+    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count)],
+                    dtype=np.uint32).reshape(count, 1, 1)
+
+
+def _spawn_words(root: np.random.SeedSequence, domains, snr_index, trials) -> np.ndarray:
+    """PCG64 seed words of every (trial, domain) stream, shape (len(trials), len(domains), 4).
+
+    Entry [t, d] equals SeedSequence(root.entropy, spawn_key=(domains[d],
+    snr_index, trials[t])).generate_state(4, np.uint64). `root.pool` already
+    holds the run entropy, zero-padded to the pool size, mixed in; each
+    spawn-key word then continues the hash into all four pool words at once.
+    The hash runs on uint32 arrays, which wrap silently; its constants do not
+    depend on the data.
+    """
+    key = (np.asarray(domains)[None, :], np.asarray(snr_index).reshape(1, 1), np.asarray(trials)[:, None])
+    for entry in key:
+        if entry.size and not (0 <= entry.min() and entry.max() <= _MASK32):
+            raise ValueError(f"spawn key entries must lie in [0, 2**32), got {entry.ravel().tolist()}")
+    # hashmix calls so far: 4 to fill the pool, 12 to mix it, 4 per run word beyond the pool
+    run_words = max(1, -(-root.entropy.bit_length() // 32))
+    mix_consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, run_words - 4), 4 * len(key) + 1)
+    pool = root.pool[:, None, None]
+    for j, entry in enumerate(key):  # pool[i] = mix(pool[i], hashmix(entry))
+        value = entry.astype(np.uint32) ^ mix_consts[4 * j:4 * j + 4]
+        value *= mix_consts[4 * j + 1:4 * j + 5]
+        value ^= value >> 16
+        pool = pool * _MIX_MULT_L - value * _MIX_MULT_R
+        pool ^= pool >> 16
+    # generate_state(4, np.uint64): 8 uint32 words cycling the pool, paired little-endian
+    out_consts = _hash_consts(_INIT_B, _MULT_B, 0, 9)
+    value = np.concatenate([pool, pool]) ^ out_consts[:8]
+    value *= out_consts[1:]
+    value ^= value >> 16
+    value = value.astype(np.uint64)
+    return np.moveaxis(value[0::2] | value[1::2] << np.uint64(32), 0, -1)
+
+
+def _reseat(rng: np.random.Generator, words) -> np.random.Generator:
+    """Load into `rng` the PCG64 state that seeding from four uint64 `words` gives.
+
+    PCG64 seeds with inc = 2*(words[2], words[3]) + 1 and two LCG steps from
+    zero: state = (inc + (words[0], words[1])) * MULT + inc, mod 2**128.
+    """
+    seed = words[0] << 64 | words[1]
+    inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": ((inc + seed) * _PCG64_MULT + inc) & _MASK128,
+                                         "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def _draw_channel(config: ExperimentConfig, ws: _Workspace, rng: np.random.Generator):
     if config.channel_kind == "rician":
         return make_rician(config.k_factor_db, config.num_paths, config.aod_prior_deg,
@@ -207,21 +273,32 @@ _ESTIMATE = {
 }
 
 
-def _trial_errors(ws, config, snr_index, trial_index):
-    """Absolute angle error in degrees for one trial, per estimator entry.
+def _block_errors(ws, config, snr_index, start, stop):
+    """Absolute angle errors in degrees for trials start..stop-1, shape (stop - start, E).
 
-    Estimator failures surface through the built-in fallbacks (center
-    estimate), never as a dropped trial.
+    Every (domain, trial) stream is the one `_stream` returns: the block
+    derives their seeds at once and reseats one generator per domain before
+    each trial. Estimator failures surface through the built-in fallbacks
+    (center estimate), never as a dropped trial.
     """
-    channel = _draw_channel(config, ws, _stream(config.master_seed, _CHANNEL_DOMAIN,
-                                                snr_index, trial_index))
+    root = np.random.SeedSequence(config.master_seed)
+    n_est = len(config.estimators)
+    words = _spawn_words(root, np.arange(1 + n_est), snr_index, np.arange(start, stop))
+    channel_rng, *noise_rngs = (np.random.Generator(np.random.PCG64(root)) for _ in range(1 + n_est))
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    out = np.empty(len(config.estimators))
-    for ei, spec in enumerate(config.estimators):
-        noise_rng = _stream(config.master_seed, ei + 1, snr_index, trial_index)
-        report = _ESTIMATE[spec.kind](channel, ws.codebooks[ei], snr, noise_rng)
-        out[ei] = abs(channel.aod_deg - report.estimate_deg)
+    out = np.empty((stop - start, n_est))
+    for t, (channel_words, *noise_words) in enumerate(words.tolist()):
+        channel = _draw_channel(config, ws, _reseat(channel_rng, channel_words))
+        for ei, spec in enumerate(config.estimators):
+            report = _ESTIMATE[spec.kind](channel, ws.codebooks[ei], snr,
+                                          _reseat(noise_rngs[ei], noise_words[ei]))
+            out[t, ei] = abs(channel.aod_deg - report.estimate_deg)
     return out
+
+
+def _trial_errors(ws, config, snr_index, trial_index):
+    """Absolute angle error in degrees for one trial, per estimator entry."""
+    return _block_errors(ws, config, snr_index, trial_index, trial_index + 1)[0]
 
 
 def _resolve_estimator(config: ExperimentConfig, estimator_id: str) -> int:
@@ -245,11 +322,7 @@ def run_trial(config: ExperimentConfig, estimator_id: str, snr_db: float, trial_
 
 def _run_block(args):
     config, snr_index, start, stop = args
-    ws = _workspace(config)
-    block = np.empty((stop - start, len(config.estimators)))
-    for t in range(start, stop):
-        block[t - start] = _trial_errors(ws, config, snr_index, t)
-    return snr_index, start, block
+    return snr_index, start, _block_errors(_workspace(config), config, snr_index, start, stop)
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1):

@@ -150,3 +150,23 @@ def test_scalar_paths_reject_just_beyond_the_edges(geom):
             for value in (float(beyond), np.float64(beyond), np.array(beyond)):
                 with pytest.raises(ValueError):
                     fn(value, geom)
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 16, 32, 64])
+def test_steering_matches_direct_formula_bitwise(n):
+    geom = ArrayGeometry(n)
+    sfs = np.random.default_rng(n).uniform(-2.0 * np.pi, 2.0 * np.pi, 10_000).tolist()
+    for sf in sfs:
+        assert np.array_equal(steering(sf, geom), np.exp(1j * np.arange(n) * sf) / np.sqrt(n))
+
+
+def test_steering_constant_is_read_only_and_not_a_field():
+    geom = ArrayGeometry(8, 0.37)
+    twin = ArrayGeometry(8, 0.37)
+    before = hash(geom)
+    steering(0.3, geom)
+    ramp, _ = geom._steering_constants
+    with pytest.raises(ValueError):
+        ramp[0] = 1.0
+    assert geom == twin and hash(geom) == hash(twin) == before
+    assert geom != ArrayGeometry(8, 0.5)

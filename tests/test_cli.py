@@ -132,7 +132,8 @@ def test_load_config_echoes_every_field(tiny_config, caplog):
     assert "config: aod_prior_deg = (-50.0, 50.0) (default)" in echoed
 
 
-SMALL_RUN = "[experiment]\ntrials = 3\n"
+# every case fails in load_config, before main could run it
+SMALL_RUN = "[experiment]\n"
 
 
 @pytest.mark.parametrize("extra, key", [
@@ -148,9 +149,10 @@ SMALL_RUN = "[experiment]\ntrials = 3\n"
     ("n_tot = 3\n[estimators]\ntwo_stage = 3\n", "two_stage"),  # pi/3: no out-of-band sample at N=3
     ("n_rf = 4\n", "n_rf"),  # widebeam offsets come in pairs: n_rf must be odd
     ("n_rf = 0\n[estimators]\ngob = 16\n", "n_rf"),  # rejected even with no widebeam to synthesize
+    ("trials = 4294967297\n", "trials"),  # trial indices are one uint32 spawn-key word
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
-        "n_rf-even", "n_rf-zero-without-two-stage"])
+        "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)

@@ -18,7 +18,9 @@ from beamalign import (
     sound,
     spatial_to_angle,
     steering,
+    steering_matrix,
 )
+from beamalign.estimators import _sounder
 
 TX16 = ArrayGeometry(16)
 TX32 = ArrayGeometry(32)
@@ -67,6 +69,17 @@ def test_sound_zero_snr_noise_variance():
     rng = np.random.default_rng(123)
     samples = np.array([sound(ch, tx, rx, 0.0, rng).sample for _ in range(100_000)])
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.02)
+
+
+def test_sounder_draws_noise_in_one_call():
+    """One (2, M, K) normal draw gives the bits of the two (M, K) draws it replaced."""
+    ch = make_single_path(12.0, -30.0, 0.6 + 0.2j, TX16, RX8)
+    beams = steering_matrix([-0.4, 0.1, 0.7], TX16)
+    got = _sounder(ch)(beams, 3.0, np.random.default_rng(5))
+    rng = np.random.default_rng(5)  # the two-call formula, as an oracle
+    noise = (rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))) / np.sqrt(2.0)
+    want = np.sqrt(3.0) * (ch.matched_row @ beams) + ch.matched_combiner.conj() @ noise
+    assert np.array_equal(got, want)
 
 
 # --- ratio metric and inversion ---------------------------------------------

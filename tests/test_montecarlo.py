@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from beamalign import beams, montecarlo
 from beamalign import (
@@ -17,7 +19,7 @@ from beamalign import (
 )
 from beamalign.channel import ChannelRealization
 from beamalign.cli import bundled_config, load_config
-from beamalign.montecarlo import _stream, _trial_errors, _workspace
+from beamalign.montecarlo import _reseat, _run_block, _spawn_words, _stream, _trial_errors, _workspace
 
 
 def small_config(**overrides):
@@ -55,6 +57,9 @@ def test_config_validation():
         small_config(estimators=())
     with pytest.raises(ValueError):
         small_config(master_seed=-1)
+    assert small_config(trials=2 ** 32).trials == 2 ** 32  # indices up to 2**32 - 1 fit one uint32 word
+    with pytest.raises(ValueError, match="trials"):
+        small_config(trials=2 ** 32 + 1)
 
 
 def test_run_trial_is_deterministic():
@@ -239,6 +244,62 @@ def test_results_csv_bytes_are_pinned(name, tmp_path):
     path = tmp_path / "results.csv"
     write_results_csv(run_sweep(cfg, workers=1), path, cfg)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_CSV_SHA256[name]
+
+
+MASTER_SEEDS = st.integers(0, 200).flatmap(lambda bits: st.integers(0, (1 << bits) - 1))
+KEY_WORDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(master_seed=MASTER_SEEDS, domain=KEY_WORDS, snr_index=KEY_WORDS, trial=KEY_WORDS)
+@example(master_seed=0, domain=0, snr_index=0, trial=0)
+@example(master_seed=2 ** 32 - 1, domain=2 ** 32 - 1, snr_index=0, trial=2 ** 32 - 1)
+@example(master_seed=2 ** 32, domain=1, snr_index=2, trial=3)
+@example(master_seed=2 ** 128, domain=5, snr_index=18, trial=9999)
+def test_spawn_words_equal_seed_sequence(master_seed, domain, snr_index, trial):
+    got = _spawn_words(np.random.SeedSequence(master_seed), [domain], snr_index, [trial])
+    seq = np.random.SeedSequence(master_seed, spawn_key=(domain, snr_index, trial))
+    assert np.array_equal(got[0, 0], seq.generate_state(4, np.uint64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(master_seed=MASTER_SEEDS, domain=KEY_WORDS, snr_index=KEY_WORDS, trial=KEY_WORDS)
+def test_reseated_generator_draws_the_stream(master_seed, domain, snr_index, trial):
+    words = _spawn_words(np.random.SeedSequence(master_seed), [domain], snr_index, [trial])
+    rng = _reseat(np.random.Generator(np.random.PCG64(7)), words.tolist()[0][0])
+    ref = _stream(master_seed, domain, snr_index, trial)
+    assert np.array_equal(rng.standard_normal(64), ref.standard_normal(64))
+    assert np.array_equal(rng.uniform(size=8), ref.uniform(size=8))
+
+
+def test_spawn_words_cover_the_block_and_reject_wide_keys():
+    words = _spawn_words(np.random.SeedSequence(20240809), np.arange(3), 7, np.arange(40, 45))
+    assert words.shape == (5, 3, 4) and words.dtype == np.uint64
+    for t in range(5):
+        for d in range(3):
+            seq = np.random.SeedSequence(20240809, spawn_key=(d, 7, 40 + t))
+            assert np.array_equal(words[t, d], seq.generate_state(4, np.uint64))
+    for domains, snr_index, trials in (([0], 0, [2 ** 32]), ([2 ** 32], 0, [0]), ([0], 2 ** 32, [0]),
+                                       ([0], -1, [0])):
+        with pytest.raises(ValueError, match="spawn key"):
+            _spawn_words(np.random.SeedSequence(1), domains, snr_index, trials)
+
+
+def test_block_builds_one_seed_sequence(monkeypatch):
+    """A warm block derives its streams in bulk: one SeedSequence, not one per (trial, domain)."""
+    cfg = dataclasses.replace(load_config(bundled_config("fig5.cfg")), trials=100)
+    _run_block((cfg, 4, 0, 50))  # first use builds the workspace and the stored beams
+    built = []
+    original = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(args or kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    si, start, block = _run_block((cfg, 4, 50, 100))
+    assert len(built) <= 1
+    assert (si, start, block.shape) == (4, 50, (50, 5))
 
 
 def test_stream_independence():
