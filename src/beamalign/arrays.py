@@ -14,7 +14,6 @@ __all__ = [
     "spatial_to_angle",
     "steering",
     "steering_matrix",
-    "gain_kernel",
 ]
 
 
@@ -96,20 +95,3 @@ def steering_matrix(sfs, geom: ArrayGeometry) -> np.ndarray:
     sfs = np.atleast_1d(np.asarray(sfs, dtype=float))
     return np.exp(1j * np.outer(np.arange(n), sfs)) / np.sqrt(n)
 
-
-def gain_kernel(mu, nu, num_elements: int):
-    """Squared inner product |a(nu)^H a(mu)|^2 of two unit-norm steering vectors.
-
-    Evaluates sin^2(N*d/2) / (N^2 sin^2(d/2)) with d = mu - nu, continuously
-    extended to 1 where d is a multiple of 2*pi (the 0/0 point of the ratio).
-    """
-    if num_elements < 1:
-        raise ValueError(f"num_elements must be >= 1, got {num_elements}")
-    n = num_elements
-    half = 0.5 * (np.asarray(mu, dtype=float) - np.asarray(nu, dtype=float))
-    s = np.sin(half)
-    degenerate = np.abs(s) < 1e-15
-    safe = np.where(degenerate, 1.0, s)
-    ratio = np.sin(n * half) / (n * safe)
-    out = np.where(degenerate, 1.0, ratio * ratio)
-    return float(out) if out.ndim == 0 else out

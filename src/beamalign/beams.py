@@ -24,7 +24,6 @@ __all__ = [
     "WidebeamPrecoder",
     "WidebeamCodebook",
     "SteeringCodebook",
-    "AbpPair",
     "is_adequate",
     "beam_power_pattern",
     "synthesize_widebeam",
@@ -114,12 +113,8 @@ class WidebeamCodebook:
 
     @cached_property
     def pairs(self) -> tuple:
-        """Per beam j, its auxiliary pair [a(gamma_j - delta), a(gamma_j + delta)], shape (N, 2)."""
-        out = []
-        for b in self.beams:
-            pair = build_abp(b.boresight, self.half_width, self.geometry)
-            out.append(_read_only(np.stack([pair.beam_minus, pair.beam_plus], axis=1)))
-        return tuple(out)
+        """Per beam j, its auxiliary beam pair (`build_abp`)."""
+        return tuple(build_abp(b.boresight, self.half_width, self.geometry) for b in self.beams)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,16 +128,6 @@ class SteeringCodebook:
     @property
     def num_beams(self) -> int:
         return len(self.boresights)
-
-
-@dataclass(frozen=True, eq=False)
-class AbpPair:
-    """Two steering beams at center -+ delta used for the ratio-metric stage."""
-
-    center: float
-    delta: float
-    beam_minus: np.ndarray
-    beam_plus: np.ndarray
 
 
 def is_adequate(delta: float, num_elements: int):
@@ -440,13 +425,12 @@ def build_steering_codebook(span_deg, num_beams: int, geometry: ArrayGeometry) -
                             geometry=geometry)
 
 
-def build_abp(center: float, delta: float, geometry: ArrayGeometry) -> AbpPair:
-    """Auxiliary beam pair: steering beams at center - delta and center + delta."""
+def build_abp(center: float, delta: float, geometry: ArrayGeometry) -> np.ndarray:
+    """Auxiliary beam pair: the steering beams [a(center - delta), a(center + delta)], shape (N, 2), read-only."""
     if not delta > 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    return AbpPair(center=float(center), delta=float(delta),
-                   beam_minus=steering(center - delta, geometry),
-                   beam_plus=steering(center + delta, geometry))
+    return _read_only(np.stack([steering(center - delta, geometry),
+                                steering(center + delta, geometry)], axis=1))
 
 
 def _fmt(x) -> str:

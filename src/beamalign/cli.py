@@ -22,6 +22,7 @@ from .beams import (
     build_widebeam_codebook,
     is_adequate,
     synthesize_widebeam,
+    widebeam_grid,
     write_codebook_csv,
     write_pattern_csv,
 )
@@ -164,16 +165,23 @@ def _half_width(args) -> float:
     return args.half_width_k * args.delta_scale * np.pi / args.n_tot
 
 
+def _adequacy_gate(delta: float, args) -> bool:
+    """Whether a widebeam of half width delta may be synthesized: adequate, or --allow-nonadequate."""
+    if is_adequate(delta, args.n_tot)[0]:
+        return True
+    if not args.allow_nonadequate:
+        log.error("half width %g is not k*pi/N_tot; pass --allow-nonadequate to force", delta)
+        return False
+    log.warning("synthesizing a non-adequate widebeam (half width %g)", delta)
+    return True
+
+
 def _cmd_pattern(args) -> int:
     try:
         geom = ArrayGeometry(args.n_tot)
         delta = _half_width(args)
-        adequate, _ = is_adequate(delta, args.n_tot)
-        if not adequate:
-            if not args.allow_nonadequate:
-                log.error("half width %g is not k*pi/N_tot; pass --allow-nonadequate to force", delta)
-                return EXIT_CONFIG
-            log.warning("synthesizing a non-adequate widebeam (half width %g)", delta)
+        if not _adequacy_gate(delta, args):
+            return EXIT_CONFIG
         beam = synthesize_widebeam(angle_to_spatial(args.boresight_deg, geom), delta,
                                    args.n_rf, geom, allow_nonadequate=True)
     except SynthesisError as exc:
@@ -199,6 +207,10 @@ def _cmd_codebook(args) -> int:
     span = (args.span_lo_deg, args.span_hi_deg)
     try:
         geom = ArrayGeometry(args.n_tot)
+        width = angle_to_spatial(span[1], geom) - angle_to_spatial(span[0], geom)
+        delta = widebeam_grid(width, args.n_tot, args.num_beams, args.k, args.delta_scale)[1]
+        if not _adequacy_gate(delta, args):
+            return EXIT_CONFIG
         codebook = build_widebeam_codebook(span, geom, n_rf=args.n_rf,
                                            num_beams=args.num_beams, k=args.k,
                                            delta_scale=args.delta_scale)
@@ -211,12 +223,6 @@ def _cmd_codebook(args) -> int:
     except ValueError as exc:
         log.error("%s", exc)
         return EXIT_CONFIG
-    if codebook.k is None:
-        if not args.allow_nonadequate:
-            log.error("resulting half width %g is not adequate; pass --allow-nonadequate",
-                      codebook.half_width)
-            return EXIT_CONFIG
-        log.warning("exporting a non-adequate codebook (half width %g)", codebook.half_width)
     try:
         write_codebook_csv(args.out, codebook)
     except OSError as exc:

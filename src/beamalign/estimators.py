@@ -17,9 +17,7 @@ from .channel import ChannelRealization
 
 __all__ = [
     "DegenerateSoundingError",
-    "SoundingResult",
     "EstimationReport",
-    "sound",
     "ratio_metric",
     "invert_ratio",
     "closed_form_powers",
@@ -29,20 +27,11 @@ __all__ = [
 ]
 
 POWER_FLOOR = 1e-300
-_NORM_TOL = 1e-8
 _SQRT2 = float(np.sqrt(2.0))  # the CN(0, 1) noise scale
 
 
 class DegenerateSoundingError(RuntimeError):
     """Both pair powers are at the floor; the ratio metric is undefined."""
-
-
-@dataclass(frozen=True)
-class SoundingResult:
-    """One received sample y and its power |y|^2."""
-
-    sample: complex
-    power: float
 
 
 @dataclass(frozen=True)
@@ -56,29 +45,19 @@ class EstimationReport:
     ratio_metric: float
 
 
-def _check_unit(vec, name):
-    nrm = np.linalg.norm(vec)
-    if abs(nrm - 1.0) > _NORM_TOL:
-        raise ValueError(f"{name} must be unit norm, got ||.|| = {nrm!r}")
-
-
-def _sounder(channel: ChannelRealization, rx_combiner: np.ndarray | None = None):
+def _sounder(channel: ChannelRealization):
     """The sounding kernel for one channel realization.
 
     Returns sweep(beams, snr, rng): the received samples
     y = sqrt(snr) * rx^H H f + rx^H n for every column f of `beams`, each with
-    fresh CN(0, I) noise n; rng=None models noiseless sounding. The default
-    combiner is the matched receiver, steered at the arrival angle of the
-    dominant path; its row h_row = rx^H H belongs to the channel, so every
-    estimator sounding one draw shares it. An explicit combiner forms its own
-    h_row.
+    fresh CN(0, I) noise n; rng=None models noiseless sounding. The combiner
+    rx is the matched receiver, steered at the arrival angle of the dominant
+    path; its row h_row = rx^H H belongs to the channel, so every estimator
+    sounding one draw shares it.
     """
-    if rx_combiner is None:
-        rx_combiner, h_row = channel.matched_combiner, channel.matched_row
-    else:
-        h_row = rx_combiner.conj() @ channel.matrix()
-    rx_h = rx_combiner.conj()
-    m = len(rx_combiner)
+    h_row = channel.matched_row
+    rx_h = channel.matched_combiner.conj()
+    m = len(rx_h)
 
     def sweep(beams: np.ndarray, snr: float, rng) -> np.ndarray:
         y = np.sqrt(snr) * (h_row @ beams)
@@ -88,17 +67,6 @@ def _sounder(channel: ChannelRealization, rx_combiner: np.ndarray | None = None)
         return y + rx_h @ ((re + 1j * im) / _SQRT2)
 
     return sweep
-
-
-def sound(channel: ChannelRealization, tx_precoder: np.ndarray, rx_combiner: np.ndarray,
-          snr: float, rng) -> SoundingResult:
-    """One pilot transmission through (tx_precoder, rx_combiner) at linear SNR `snr`."""
-    if snr < 0:
-        raise ValueError(f"snr must be >= 0, got {snr}")
-    _check_unit(tx_precoder, "tx_precoder")
-    _check_unit(rx_combiner, "rx_combiner")
-    y = _sounder(channel, rx_combiner)(np.asarray(tx_precoder).reshape(-1, 1), snr, rng)[0]
-    return SoundingResult(sample=complex(y), power=abs(y) ** 2)
 
 
 def ratio_metric(chi_minus: float, chi_plus: float) -> float:

@@ -11,6 +11,7 @@ generator per domain (`_reseat`); `_stream` is the one-stream definition.
 """
 
 import csv
+import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -73,6 +74,17 @@ class EstimatorSpec:
         return f"{self.kind}_{self.soundings}"
 
 
+def _finite_db(x) -> bool:
+    """Whether x dB is finite and so is the linear value 10 ** (x / 10) the engine converts it to."""
+    if not np.isfinite(x):
+        return False
+    try:
+        10.0 ** (float(x) / 10.0)
+    except OverflowError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     n_tot: int = 16
@@ -113,8 +125,10 @@ class ExperimentConfig:
                 raise ValueError(f"prior {prior} must be an increasing interval within [-90, 90]")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must hold at least one point")
-        if not all(np.isfinite(self.snr_grid_db)):
-            raise ValueError("snr grid must be finite")
+        for key, values in (("snr_grid_db", self.snr_grid_db), ("k_factor_db", (self.k_factor_db,))):
+            bad = [x for x in values if not _finite_db(x)]
+            if bad:
+                raise ValueError(f"{key} must be finite in dB and as a linear power, got {bad[0]!r}")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr grid must be strictly increasing")
         if self.master_seed < 0:
@@ -183,15 +197,7 @@ class _Workspace:
             self.codebooks.append(cb)
 
 
-_WORKSPACES: dict = {}
-
-
-def _workspace(config: ExperimentConfig) -> _Workspace:
-    ws = _WORKSPACES.get(config)
-    if ws is None:
-        ws = _Workspace(config)
-        _WORKSPACES[config] = ws
-    return ws
+_workspace = functools.cache(_Workspace)
 
 
 def _stream(master_seed: int, domain: int, snr_index: int, trial_index: int) -> np.random.Generator:

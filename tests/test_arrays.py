@@ -6,7 +6,6 @@ import pytest
 from beamalign import (
     ArrayGeometry,
     angle_to_spatial,
-    gain_kernel,
     spatial_to_angle,
     steering,
     steering_matrix,
@@ -95,33 +94,6 @@ def test_steering_matrix_columns():
     assert mat.shape == (16, 3)
     for i, sf in enumerate(sfs):
         np.testing.assert_allclose(mat[:, i], steering(sf, GEOM16), atol=1e-15)
-
-
-def test_gain_kernel_self():
-    assert gain_kernel(0.7, 0.7, 16) == 1.0
-    assert gain_kernel(0.3, 0.3 - 2 * np.pi, 8) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_gain_kernel_orthogonal():
-    for n in (8, 16, 32):
-        assert gain_kernel(2 * np.pi / n, 0.0, n) < 1e-20
-
-
-def test_gain_kernel_matches_inner_product():
-    rng = np.random.default_rng(17)
-    for _ in range(1000):
-        n = int(rng.integers(2, 64))
-        mu, nu = rng.uniform(-np.pi, np.pi, 2)
-        geom = ArrayGeometry(n)
-        direct = abs(np.vdot(steering(nu, geom), steering(mu, geom))) ** 2
-        assert abs(gain_kernel(mu, nu, n) - direct) < 1e-10
-
-
-def test_gain_kernel_vectorized():
-    mus = np.linspace(-1, 1, 50)
-    vec = gain_kernel(mus, 0.2, 16)
-    scalar = np.array([gain_kernel(m, 0.2, 16) for m in mus])
-    np.testing.assert_allclose(vec, scalar, atol=0)
 
 
 @pytest.mark.parametrize("geom", [GEOM16, ArrayGeometry(7, 0.37)])

@@ -150,9 +150,14 @@ SMALL_RUN = "[experiment]\n"
     ("n_rf = 4\n", "n_rf"),  # widebeam offsets come in pairs: n_rf must be odd
     ("n_rf = 0\n[estimators]\ngob = 16\n", "n_rf"),  # rejected even with no widebeam to synthesize
     ("trials = 4294967297\n", "trials"),  # trial indices are one uint32 spawn-key word
+    # 10 ** (x / 10) overflows, or the value is not a number of dB at all
+    ("trials = 3\n[channel]\nkind = rician\nk_factor_db = 4000\n", "k_factor_db"),
+    ("trials = 3\nsnr_grid_db = 0, 4000\n", "snr_grid_db"),
+    ("trials = 3\n[channel]\nkind = rician\nk_factor_db = inf\n", "k_factor_db"),
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
-        "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32"])
+        "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32",
+        "k_factor-overflow", "snr-overflow", "k_factor-inf"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)
@@ -277,6 +282,16 @@ def test_half_width_without_out_of_band_sample_exits_2(tmp_path, caplog, args, f
         assert main(args + ["--out", str(out)]) == 2
     assert f"{flag}: half width" in caplog.text
     assert "below pi - 2*pi/N" in caplog.text
+    assert not out.exists()
+
+
+def test_codebook_nonadequate_gate_precedes_synthesis(tmp_path, caplog):
+    # k = 13 fails synthesis (exit 3) but the scaled half width is gated first
+    out = tmp_path / "x.csv"
+    with caplog.at_level(logging.ERROR):
+        assert main(["codebook", "--n-tot", "16", "--k", "13", "--delta-scale", "1.01",
+                     "--out", str(out)]) == 2
+    assert "--allow-nonadequate" in caplog.text
     assert not out.exists()
 
 

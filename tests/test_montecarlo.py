@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +230,14 @@ def test_trial_sounds_each_draw_once(monkeypatch):
         monkeypatch.setitem(montecarlo._ESTIMATE, kind, counted(fn.__name__, fn))
     _trial_errors(ws, cfg, 4, 1)
     assert calls == Counter(matrix=1, estimate_two_stage=1, estimate_gob=2, estimate_gob_abp=2)
+
+
+def test_benchmark_tracer_wraps_every_span_target():
+    """perfbench's tracer finds and rebinds every library name it times, or a traced run stops."""
+    code = 'import sys; sys.path.insert(0, "perfbench"); from spans import Tracer; Tracer().install()'
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+                          env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 # sha256 of write_results_csv at 20 trials x 3 SNR points, workers 1, recorded
