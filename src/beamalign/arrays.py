@@ -8,14 +8,6 @@ import numpy as np
 from dataclasses import dataclass
 from functools import cached_property
 
-__all__ = [
-    "ArrayGeometry",
-    "angle_to_spatial",
-    "spatial_to_angle",
-    "steering",
-    "steering_matrix",
-]
-
 
 @dataclass(frozen=True)
 class ArrayGeometry:

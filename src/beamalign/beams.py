@@ -18,25 +18,6 @@ import numpy as np
 
 from .arrays import ArrayGeometry, angle_to_spatial, spatial_to_angle, steering, steering_matrix
 
-__all__ = [
-    "SynthesisError",
-    "HalfWidthError",
-    "WidebeamPrecoder",
-    "WidebeamCodebook",
-    "SteeringCodebook",
-    "is_adequate",
-    "beam_power_pattern",
-    "synthesize_widebeam",
-    "widebeam_grid",
-    "check_n_rf",
-    "check_half_width",
-    "build_widebeam_codebook",
-    "build_steering_codebook",
-    "build_abp",
-    "write_pattern_csv",
-    "write_codebook_csv",
-]
-
 DEFAULT_N_RF = 5
 DEFAULT_ADEQUACY_K = 2
 # search/evaluation resolution for the widebeam optimizer

@@ -13,8 +13,6 @@ from functools import cached_property
 
 from .arrays import ArrayGeometry, angle_to_spatial, steering
 
-__all__ = ["PathParams", "ChannelRealization", "make_single_path", "make_rician"]
-
 
 @dataclass(frozen=True)
 class PathParams:

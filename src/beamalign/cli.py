@@ -34,8 +34,6 @@ from .montecarlo import (
     write_results_csv,
 )
 
-__all__ = ["main", "load_config", "bundled_config", "ConfigError"]
-
 log = logging.getLogger("beamalign")
 
 EXIT_OK = 0
@@ -96,7 +94,7 @@ _PARSERS = {int: int, float: float, bool: _parse_bool, str: str.strip, tuple: _p
 def load_config(path) -> ExperimentConfig:
     """Parse an experiment config file; unknown sections or keys are rejected."""
     parser = configparser.ConfigParser()
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         parser.read_file(fh)
 
     kwargs = {"estimators": ()} if parser.has_section("estimators") else {}
@@ -129,29 +127,11 @@ def load_config(path) -> ExperimentConfig:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = load_config(args.config)
-    except (ConfigError, configparser.Error) as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
-        log.error("cannot read config: %s", exc)
-        return EXIT_IO
-    try:
-        if args.seed is not None:
-            config = replace(config, master_seed=args.seed)
-        curves = run_sweep(config, workers=args.workers)
-    except SynthesisError as exc:
-        log.error("widebeam synthesis failed: %s", exc)
-        return EXIT_SYNTHESIS
-    except ValueError as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
-    try:
-        write_results_csv(curves, args.out, config)
-    except OSError as exc:
-        log.error("cannot write results: %s", exc)
-        return EXIT_IO
+    config = load_config(args.config)
+    if args.seed is not None:
+        config = replace(config, master_seed=args.seed)
+    curves = run_sweep(config, workers=args.workers)
+    write_results_csv(curves, args.out, config)
     for curve in curves:
         print(f"{curve.estimator_id}: soundings={curve.soundings}, "
               f"err {curve.mean_abs_error_deg[0]:.4g} deg @ {curve.snr_db[0]:g} dB"
@@ -159,45 +139,26 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _half_width(args) -> float:
-    if args.half_width_k < 1:
-        raise ConfigError(f"half-width k must be a positive integer, got {args.half_width_k}")
-    return args.half_width_k * args.delta_scale * np.pi / args.n_tot
-
-
-def _adequacy_gate(delta: float, args) -> bool:
-    """Whether a widebeam of half width delta may be synthesized: adequate, or --allow-nonadequate."""
+def _adequacy_gate(delta: float, args) -> None:
+    """Raise ConfigError for a non-adequate half width delta unless --allow-nonadequate is given."""
     if is_adequate(delta, args.n_tot)[0]:
-        return True
+        return
     if not args.allow_nonadequate:
-        log.error("half width %g is not k*pi/N_tot; pass --allow-nonadequate to force", delta)
-        return False
+        raise ConfigError(f"half width {delta:g} is not k*pi/N_tot; pass --allow-nonadequate to force")
     log.warning("synthesizing a non-adequate widebeam (half width %g)", delta)
-    return True
 
 
 def _cmd_pattern(args) -> int:
-    try:
-        geom = ArrayGeometry(args.n_tot)
-        delta = _half_width(args)
-        if not _adequacy_gate(delta, args):
-            return EXIT_CONFIG
-        beam = synthesize_widebeam(angle_to_spatial(args.boresight_deg, geom), delta,
-                                   args.n_rf, geom, allow_nonadequate=True)
-    except SynthesisError as exc:
-        log.error("synthesis failed: %s", exc)
-        return EXIT_SYNTHESIS
-    except HalfWidthError as exc:
-        log.error("--half-width-k: %s", exc)
-        return EXIT_CONFIG
-    except (ConfigError, ValueError) as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    try:
-        write_pattern_csv(args.out, beam.combined, geom, grid_points=args.grid_points)
-    except OSError as exc:
-        log.error("cannot write pattern: %s", exc)
-        return EXIT_IO
+    if args.half_width_k < 1:
+        raise ConfigError(f"--half-width-k must be a positive integer, got {args.half_width_k}")
+    if args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
+    geom = ArrayGeometry(args.n_tot)
+    delta = args.half_width_k * args.delta_scale * np.pi / args.n_tot
+    _adequacy_gate(delta, args)
+    beam = synthesize_widebeam(angle_to_spatial(args.boresight_deg, geom), delta,
+                               args.n_rf, geom, allow_nonadequate=True)
+    write_pattern_csv(args.out, beam.combined, geom, grid_points=args.grid_points)
     print(f"pattern: N={args.n_tot}, n_rf={args.n_rf}, boresight={args.boresight_deg} deg, "
           f"half_width={delta:.6g} rad, {args.grid_points} points -> {args.out}")
     return EXIT_OK
@@ -205,29 +166,12 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_codebook(args) -> int:
     span = (args.span_lo_deg, args.span_hi_deg)
-    try:
-        geom = ArrayGeometry(args.n_tot)
-        width = angle_to_spatial(span[1], geom) - angle_to_spatial(span[0], geom)
-        delta = widebeam_grid(width, args.n_tot, args.num_beams, args.k, args.delta_scale)[1]
-        if not _adequacy_gate(delta, args):
-            return EXIT_CONFIG
-        codebook = build_widebeam_codebook(span, geom, n_rf=args.n_rf,
-                                           num_beams=args.num_beams, k=args.k,
-                                           delta_scale=args.delta_scale)
-    except SynthesisError as exc:
-        log.error("synthesis failed: %s", exc)
-        return EXIT_SYNTHESIS
-    except HalfWidthError as exc:
-        log.error("--k: %s", exc)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        log.error("%s", exc)
-        return EXIT_CONFIG
-    try:
-        write_codebook_csv(args.out, codebook)
-    except OSError as exc:
-        log.error("cannot write codebook: %s", exc)
-        return EXIT_IO
+    geom = ArrayGeometry(args.n_tot)
+    width = angle_to_spatial(span[1], geom) - angle_to_spatial(span[0], geom)
+    _adequacy_gate(widebeam_grid(width, args.n_tot, args.num_beams, args.k, args.delta_scale)[1], args)
+    codebook = build_widebeam_codebook(span, geom, n_rf=args.n_rf, num_beams=args.num_beams,
+                                       k=args.k, delta_scale=args.delta_scale)
+    write_codebook_csv(args.out, codebook)
     print(f"codebook: {len(codebook.beams)} beams over [{span[0]}, {span[1]}] deg, "
           f"half_width={codebook.half_width:.6g} rad, k={codebook.k} -> {args.out}")
     return EXIT_OK
@@ -236,6 +180,8 @@ def _cmd_codebook(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="beamalign",
                                      description="Two-stage AoD estimation experiments")
+    # a HalfWidthError names the flag that set the half width, where there is one
+    parser.set_defaults(half_width_flag="config error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a configured Monte Carlo sweep")
@@ -256,7 +202,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scale the half width away from the adequate grid")
     p_pat.add_argument("--allow-nonadequate", action="store_true")
     p_pat.add_argument("--out", required=True)
-    p_pat.set_defaults(func=_cmd_pattern)
+    p_pat.set_defaults(func=_cmd_pattern, half_width_flag="--half-width-k")
 
     p_cb = sub.add_parser("codebook", help="build a widebeam codebook and export it")
     p_cb.add_argument("--n-tot", type=int, default=16)
@@ -268,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cb.add_argument("--delta-scale", type=float, default=1.0)
     p_cb.add_argument("--allow-nonadequate", action="store_true")
     p_cb.add_argument("--out", required=True)
-    p_cb.set_defaults(func=_cmd_codebook)
+    p_cb.set_defaults(func=_cmd_codebook, half_width_flag="--k")
     return parser
 
 
@@ -277,7 +223,20 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=getattr(logging, level, logging.WARNING),
                         format="beamalign: %(levelname)s: %(message)s")
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SynthesisError as exc:
+        log.error("widebeam synthesis failed: %s", exc)
+        return EXIT_SYNTHESIS
+    except HalfWidthError as exc:
+        log.error("%s: %s", args.half_width_flag, exc)
+        return EXIT_CONFIG
+    except (ConfigError, configparser.Error, ValueError) as exc:
+        log.error("config error: %s", exc)
+        return EXIT_CONFIG
+    except OSError as exc:
+        log.error("I/O error: %s", exc)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

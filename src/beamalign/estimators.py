@@ -15,17 +15,6 @@ from .arrays import spatial_to_angle
 from .beams import SteeringCodebook, WidebeamCodebook, is_adequate
 from .channel import ChannelRealization
 
-__all__ = [
-    "DegenerateSoundingError",
-    "EstimationReport",
-    "ratio_metric",
-    "invert_ratio",
-    "closed_form_powers",
-    "estimate_two_stage",
-    "estimate_gob",
-    "estimate_gob_abp",
-]
-
 POWER_FLOOR = 1e-300
 _SQRT2 = float(np.sqrt(2.0))  # the CN(0, 1) noise scale
 

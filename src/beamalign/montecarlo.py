@@ -26,20 +26,13 @@ from .beams import (HalfWidthError, build_steering_codebook, build_widebeam_code
 from .channel import make_rician, make_single_path
 from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
-__all__ = [
-    "EstimatorSpec",
-    "ExperimentConfig",
-    "ErrorCurve",
-    "run_trial",
-    "run_sweep",
-    "write_results_csv",
-    "config_digest",
-]
-
 ESTIMATOR_KINDS = ("two_stage", "two_stage_nonadequate", "gob", "gob_abp")
 CHANNEL_KINDS = ("single_path", "rician")
 _TRIAL_BLOCK = 500
 _MAX_TRIALS = 2 ** 32  # every spawn-key entry is one uint32 word
+# bound on snr * N * M, about the matched sounding power over |g|**2: eight
+# decades below float overflow, for the gain draw
+_MAX_SOUNDING_POWER = 1e300
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx, a port of
 # O'Neill's seed_seq) and PCG64's seeding multiplier (pcg64.h)
@@ -129,6 +122,10 @@ class ExperimentConfig:
             bad = [x for x in values if not _finite_db(x)]
             if bad:
                 raise ValueError(f"{key} must be finite in dB and as a linear power, got {bad[0]!r}")
+        peak = max(self.snr_grid_db)
+        if 10.0 ** (peak / 10.0) * self.n_tot * self.m_tot > _MAX_SOUNDING_POWER:
+            raise ValueError(f"snr_grid_db point {peak!r} at n_tot = {self.n_tot}, m_tot = {self.m_tot} "
+                             f"gives a matched sounding power above {_MAX_SOUNDING_POWER:g}")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
             raise ValueError("snr grid must be strictly increasing")
         if self.master_seed < 0:
@@ -138,9 +135,9 @@ class ExperimentConfig:
         geometry = ArrayGeometry(self.n_tot, self.tx_spacing)
         width = (angle_to_spatial(self.aod_prior_deg[1], geometry)
                  - angle_to_spatial(self.aod_prior_deg[0], geometry))
-        if width > 2.0 * np.pi:
+        if not 0 < width <= 2.0 * np.pi:
             raise ValueError(f"tx_spacing = {self.tx_spacing} with aod_prior_deg = {self.aod_prior_deg} "
-                             f"spans {width:.4g} rad, more than one 2*pi spatial period")
+                             f"spans {width:.4g} rad of spatial frequency, not in (0, 2*pi]")
         for spec in self.estimators:
             if spec.kind.startswith("two_stage"):
                 half = widebeam_grid(width, self.n_tot, **_widebeam_options(self, spec))[1]
@@ -148,9 +145,11 @@ class ExperimentConfig:
                 half = 0.5 * width / spec.beams
             else:
                 continue
-            if not 0 < half < np.pi / 2:  # the domain of invert_ratio
+            # the domain of invert_ratio, whose denominator at a zero ratio is sin(half)**2
+            if not (0 < half < np.pi / 2 and np.sin(half) ** 2 > 0):
                 raise ValueError(f"{spec.kind} = {spec.beams}: pair half width {half:.6g} rad "
-                                 f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2)")
+                                 f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2) "
+                                 f"or its sin**2 underflows")
             if spec.kind.startswith("two_stage") and self.n_rf != 1:  # one chain needs no synthesis
                 try:
                     check_half_width(half, self.n_tot)
@@ -307,25 +306,6 @@ def _trial_errors(ws, config, snr_index, trial_index):
     return _block_errors(ws, config, snr_index, trial_index, trial_index + 1)[0]
 
 
-def _resolve_estimator(config: ExperimentConfig, estimator_id: str) -> int:
-    labels = [spec.label for spec in config.estimators]
-    if estimator_id in labels:
-        return labels.index(estimator_id)
-    kind_hits = [i for i, spec in enumerate(config.estimators) if spec.kind == estimator_id]
-    if len(kind_hits) == 1:
-        return kind_hits[0]
-    raise ValueError(f"estimator {estimator_id!r} not found (entries: {labels})")
-
-
-def run_trial(config: ExperimentConfig, estimator_id: str, snr_db: float, trial_index: int) -> float:
-    """Run one estimator on one trial; returns |theta - theta_hat| in degrees."""
-    matches = np.nonzero(np.isclose(config.snr_grid_db, snr_db, rtol=0, atol=1e-9))[0]
-    if len(matches) != 1:
-        raise ValueError(f"snr_db {snr_db} is not a point of the configured grid")
-    ei = _resolve_estimator(config, estimator_id)
-    return float(_trial_errors(_workspace(config), config, int(matches[0]), trial_index)[ei])
-
-
 def _run_block(args):
     config, snr_index, start, stop = args
     return snr_index, start, _block_errors(_workspace(config), config, snr_index, start, stop)
@@ -347,7 +327,7 @@ def run_sweep(config: ExperimentConfig, workers: int = 1):
         for si, start, block in results:
             errors[si, start:start + len(block)] = block
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             for si, start, block in pool.map(_run_block, tasks, chunksize=1):
                 errors[si, start:start + len(block)] = block
 

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from beamalign import EstimatorSpec, ExperimentConfig
+from beamalign import EstimatorSpec, ExperimentConfig, cli
 from beamalign.cli import ConfigError, bundled_config, load_config, main
 
 TINY_CFG = """
@@ -154,10 +154,15 @@ SMALL_RUN = "[experiment]\n"
     ("trials = 3\n[channel]\nkind = rician\nk_factor_db = 4000\n", "k_factor_db"),
     ("trials = 3\nsnr_grid_db = 0, 4000\n", "snr_grid_db"),
     ("trials = 3\n[channel]\nkind = rician\nk_factor_db = inf\n", "k_factor_db"),
+    # snr * n_tot * m_tot above 1e300 overflows the sounding powers |y|**2
+    ("trials = 3\nsnr_grid_db = 0, 3075\n", "snr_grid_db"),
+    ("aod_prior_deg = 0, 5e-324\n[estimators]\ngob = 16\n", "aod_prior_deg"),  # zero spatial width
+    ("aod_prior_deg = 0, 1e-181\n[estimators]\ngob_abp = 2\n", "gob_abp"),  # sin(half)**2 underflows
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
         "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32",
-        "k_factor-overflow", "snr-overflow", "k_factor-inf"])
+        "k_factor-overflow", "snr-overflow", "k_factor-inf", "snr-sounding-overflow",
+        "aod-prior-zero-width", "gob_abp-half-width-underflow"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)
@@ -167,6 +172,16 @@ def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     with caplog.at_level(logging.ERROR):
         assert main(["run", "--config", str(path), "--out", str(out)]) == 2
     assert key in caplog.text
+    assert not out.exists()
+
+
+def test_run_rejects_non_utf8_config(tmp_path, caplog):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(TINY_CFG.replace("[channel]", "# caf\xe9\n[channel]").encode("latin-1"))
+    out = tmp_path / "x.csv"
+    with caplog.at_level(logging.ERROR):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error" in caplog.text and "utf-8" in caplog.text
     assert not out.exists()
 
 
@@ -243,6 +258,19 @@ def test_pattern_command_nonadequate_gate(tmp_path, caplog):
 
 def test_pattern_command_rejects_bad_k(tmp_path):
     assert main(["pattern", "--half-width-k", "0", "--out", str(tmp_path / "p.csv")]) == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_pattern_rejects_grid_points_below_one(tmp_path, caplog, monkeypatch, points):
+    def no_synthesis(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(cli, "synthesize_widebeam", no_synthesis)
+    out = tmp_path / "p.csv"
+    with caplog.at_level(logging.ERROR):
+        assert main(["pattern", "--grid-points", points, "--out", str(out)]) == 2
+    assert "--grid-points" in caplog.text
+    assert not out.exists()
 
 
 def test_codebook_command(tmp_path):

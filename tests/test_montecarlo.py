@@ -3,12 +3,13 @@ import hashlib
 import os
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from beamalign import beams, montecarlo
@@ -16,9 +17,9 @@ from beamalign import (
     ErrorCurve,
     EstimatorSpec,
     ExperimentConfig,
+    SynthesisError,
     config_digest,
     run_sweep,
-    run_trial,
     write_results_csv,
 )
 from beamalign.channel import ChannelRealization
@@ -68,24 +69,17 @@ def test_config_validation():
 
 def test_run_trial_is_deterministic():
     cfg = small_config()
-    a = run_trial(cfg, "gob_16", 0.0, 7)
-    b = run_trial(cfg, "gob_16", 0.0, 7)
-    assert a == b
-    assert run_trial(cfg, "gob", 0.0, 7) == a  # unique kind resolves too
-
-
-def test_run_trial_rejects_unknown_points():
-    cfg = small_config()
-    with pytest.raises(ValueError):
-        run_trial(cfg, "gob_16", 5.0, 0)
-    with pytest.raises(ValueError):
-        run_trial(cfg, "gob_99", 0.0, 0)
+    ws = _workspace(cfg)
+    a = _trial_errors(ws, cfg, 0, 7)
+    assert np.array_equal(_trial_errors(ws, cfg, 0, 7), a)
+    assert np.array_equal(_run_block((cfg, 0, 0, 10))[2][7], a)  # the same trial inside a block
 
 
 def test_run_trial_two_stage_high_snr_is_exact():
     cfg = small_config(snr_grid_db=(1000.0,), trials=50)
-    errs = [run_trial(cfg, "two_stage_9", 1000.0, t) for t in range(50)]
-    assert max(errs) < 1e-4
+    _, _, errs = _run_block((cfg, 0, 0, 50))
+    assert cfg.estimators[0].label == "two_stage_9"
+    assert errs[:, 0].max() < 1e-4
 
 
 def test_common_random_numbers_share_channel():
@@ -105,7 +99,8 @@ def test_estimator_entry_streams_are_stable_across_sets():
     # so estimator A at entry 0 sees identical draws regardless of other entries
     cfg_pair = small_config()
     cfg_solo = small_config(estimators=(EstimatorSpec("two_stage", 7),))
-    assert run_trial(cfg_pair, "two_stage_9", 20.0, 3) == run_trial(cfg_solo, "two_stage_9", 20.0, 3)
+    solo = _trial_errors(_workspace(cfg_solo), cfg_solo, 1, 3)  # SNR index 1 is 20 dB, trial 3
+    assert _trial_errors(_workspace(cfg_pair), cfg_pair, 1, 3)[0] == solo[0]
 
 
 # _trial_errors for trials 0-19 of fig4 (single path) and fig6 (Rician) at
@@ -342,6 +337,66 @@ def test_run_sweep_worker_count_invariance():
     parallel = run_sweep(cfg, workers=2)
     for a, b in zip(serial, parallel):
         assert a == b
+
+
+def test_pool_is_capped_at_the_task_count(monkeypatch):
+    """run_sweep starts no more worker processes than it has trial blocks."""
+    cfg = small_config(trials=20)  # one block per SNR point: 2 tasks
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+    assert run_sweep(cfg, workers=64) == run_sweep(cfg, workers=1)
+    assert started == [2]
+
+
+PRIORS = st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2, unique=True).map(sorted).map(tuple)
+SNR_POINTS = st.one_of(st.floats(-400.0, 100.0), st.floats(2900.0, 3100.0))  # the second straddles the power bound
+ESTIMATOR_ENTRIES = st.lists(st.builds(EstimatorSpec, st.sampled_from(montecarlo.ESTIMATOR_KINDS),
+                                       st.integers(1, 40)), min_size=1, max_size=3)
+
+
+@st.composite
+def accepted_configs(draw):
+    kwargs = dict(
+        n_tot=draw(st.integers(1, 32)), m_tot=draw(st.integers(1, 8)), n_rf=draw(st.sampled_from((1, 3, 5))),
+        snr_grid_db=tuple(sorted(draw(st.lists(SNR_POINTS, min_size=1, max_size=3, unique=True)))),
+        trials=1, aod_prior_deg=draw(PRIORS), aoa_prior_deg=draw(PRIORS),
+        channel_kind=draw(st.sampled_from(montecarlo.CHANNEL_KINDS)),
+        estimators=tuple(draw(ESTIMATOR_ENTRIES)), master_seed=draw(st.integers(0, 2 ** 32)),
+        k_factor_db=draw(st.floats(-50.0, 100.0)), num_paths=draw(st.integers(1, 4)),
+        nonadequate_k=draw(st.floats(0.5, 3.0)), nlos_normalized=draw(st.booleans()),
+        tx_spacing=draw(st.floats(0.05, 1.0)), rx_spacing=draw(st.floats(0.05, 1.0)))
+    try:
+        return ExperimentConfig(**kwargs)
+    except ValueError:
+        reject()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=accepted_configs())
+def test_accepted_config_runs_cleanly(cfg):
+    """A config ExperimentConfig accepts fails synthesis by name or runs with finite errors."""
+    try:
+        ws = montecarlo._Workspace(cfg)
+    except SynthesisError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for si in range(len(cfg.snr_grid_db)):
+            assert np.isfinite(_trial_errors(ws, cfg, si, 0)).all()
 
 
 def test_run_sweep_error_decreases_with_snr():
