@@ -113,8 +113,8 @@ class SteeringCodebook:
 
 def is_adequate(delta: float, num_elements: int):
     """Check delta = k*pi/N for a positive integer k; returns (bool, k or None)."""
-    if not delta > 0:
-        raise ValueError(f"delta must be > 0, got {delta}")
+    if not 0 < delta < np.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     ratio = delta * num_elements / np.pi
     k = int(round(ratio))
     if k >= 1 and abs(ratio - k) <= 1e-9:
@@ -364,6 +364,9 @@ def widebeam_grid(width: float, num_elements: int, num_beams: int | None = None,
         k = (DEFAULT_ADEQUACY_K if num_beams is None
              else max(1, int(np.ceil(width / num_beams * n / (2.0 * np.pi) - 1e-9))))
     delta = delta_scale * k * np.pi / n
+    if not 0 < delta < np.inf:
+        raise ValueError(f"half width delta_scale * k * pi / N must be positive and finite, got "
+                         f"{delta!r} from k = {k}, delta_scale = {delta_scale!r}")
     count = num_beams if num_beams is not None else max(1, int(np.ceil(width / (2.0 * delta) - 1e-9)))
     return count, delta
 

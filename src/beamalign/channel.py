@@ -1,10 +1,10 @@
 """Single-path and Rician multipath MIMO channel realizations.
 
-A realization stores path parameters (complex gain, AoD, AoA); the channel
-matrix is materialized on demand as a sum of rank-1 outer products
-a_r(psi_i) a_t(mu_i)^H weighted by the Rician K-factor split. The matched
-receive row rx^H H, which every estimator sounds through, is formed once per
-realization.
+A realization stores path parameters (complex gain, AoD, AoA) that the caller
+has drawn; nothing here consumes randomness. The channel matrix is
+materialized on demand as a sum of rank-1 outer products a_r(psi_i) a_t(mu_i)^H
+weighted by the Rician K-factor split. The matched receive row rx^H H, which
+every estimator sounds through, is formed once per realization.
 """
 
 import numpy as np
@@ -106,29 +106,20 @@ def make_single_path(aod_deg: float, aoa_deg: float, g: complex,
                               geometry_tx=geometry_tx, geometry_rx=geometry_rx)
 
 
-def make_rician(k_factor_db: float, num_paths: int, aod_prior_deg, aoa_prior_deg,
-                rng: np.random.Generator, geometry_tx: ArrayGeometry,
+def make_rician(k_factor_db: float, aods_deg, aoas_deg, gains, geometry_tx: ArrayGeometry,
                 geometry_rx: ArrayGeometry, nlos_normalized: bool = False) -> ChannelRealization:
-    """Draw a Rician realization: one LOS path plus num_paths-1 NLOS paths.
+    """Rician realization from drawn paths: one LOS path plus len(aods_deg) - 1 NLOS paths.
 
-    All AoDs/AoAs are uniform over their priors and every per-path gain is
-    g_i ~ CN(0, 1), scaled by sqrt(N_tot * M_tot). Draw order is fixed
-    (AoDs, AoAs, then real/imaginary gain parts) so a given rng state maps
-    to exactly one realization. Path 0 is the LOS path.
+    Path i departs at aods_deg[i] and arrives at aoas_deg[i], with gain
+    gains[i] * sqrt(N_tot * M_tot); the caller draws the angles uniformly over
+    their priors and the g_i ~ CN(0, 1). Path 0 is the LOS path.
     """
-    if num_paths < 1:
-        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
-    aods = rng.uniform(aod_prior_deg[0], aod_prior_deg[1], num_paths)
-    aoas = rng.uniform(aoa_prior_deg[0], aoa_prior_deg[1], num_paths)
-    # CN(0,1): two independent real Gaussians with variance 1/2 each
-    re = rng.standard_normal(num_paths)
-    im = rng.standard_normal(num_paths)
+    if len(aods_deg) < 1 or not len(aods_deg) == len(aoas_deg) == len(gains):
+        raise ValueError(f"need one AoD, AoA and gain per path, at least one path; got "
+                         f"{len(aods_deg)}, {len(aoas_deg)} and {len(gains)}")
     scale = np.sqrt(geometry_tx.num_elements * geometry_rx.num_elements)
-    gains = (re + 1j * im) / np.sqrt(2.0) * scale
-    paths = tuple(
-        PathParams(gain=complex(gains[i]), aod_deg=float(aods[i]), aoa_deg=float(aoas[i]))
-        for i in range(num_paths)
-    )
+    paths = tuple(PathParams(gain=complex(g * scale), aod_deg=float(aod), aoa_deg=float(aoa))
+                  for aod, aoa, g in zip(aods_deg, aoas_deg, gains))
     return ChannelRealization(paths=paths, los_index=0,
                               geometry_tx=geometry_tx, geometry_rx=geometry_rx,
                               k_factor_db=float(k_factor_db), nlos_normalized=nlos_normalized)

@@ -3,6 +3,9 @@ grid-of-beams, and grid-of-beams with pairwise ratio refinement.
 
 One sounding transmits a unit symbol through a precoder and combines with a
 unit-norm receive vector: y = sqrt(rho) * w^H H f + w^H n with n ~ CN(0, I).
+For a unit-norm w and fresh n per sounding, w^H n is exactly CN(0, 1) and
+independent across soundings, so each estimator takes one complex noise
+sample per sounding from its caller (None: noiseless) and draws nothing.
 The receiver always steers at the true arrival angle of the dominant path.
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
@@ -16,7 +19,6 @@ from .beams import SteeringCodebook, WidebeamCodebook, is_adequate
 from .channel import ChannelRealization
 
 POWER_FLOOR = 1e-300
-_SQRT2 = float(np.sqrt(2.0))  # the CN(0, 1) noise scale
 
 
 class DegenerateSoundingError(RuntimeError):
@@ -34,28 +36,22 @@ class EstimationReport:
     ratio_metric: float
 
 
-def _sounder(channel: ChannelRealization):
-    """The sounding kernel for one channel realization.
+def _sound(channel: ChannelRealization, beams: np.ndarray, snr: float, noise) -> np.ndarray:
+    """Received samples y = sqrt(snr) * rx^H H f + n for every column f of `beams`.
 
-    Returns sweep(beams, snr, rng): the received samples
-    y = sqrt(snr) * rx^H H f + rx^H n for every column f of `beams`, each with
-    fresh CN(0, I) noise n; rng=None models noiseless sounding. The combiner
-    rx is the matched receiver, steered at the arrival angle of the dominant
-    path; its row h_row = rx^H H belongs to the channel, so every estimator
-    sounding one draw shares it.
+    The combiner rx is the matched receiver, steered at the arrival angle of
+    the dominant path; its row h_row = rx^H H belongs to the channel, so every
+    estimator sounding one draw shares it. `noise` holds the combined noise
+    rx^H n of each sounding, one CN(0, 1) sample per column; None models
+    noiseless sounding.
     """
-    h_row = channel.matched_row
-    rx_h = channel.matched_combiner.conj()
-    m = len(rx_h)
-
-    def sweep(beams: np.ndarray, snr: float, rng) -> np.ndarray:
-        y = np.sqrt(snr) * (h_row @ beams)
-        if rng is None:
-            return y
-        re, im = rng.standard_normal((2, m, beams.shape[1]))  # all real parts, then all imaginary
-        return y + rx_h @ ((re + 1j * im) / _SQRT2)
-
-    return sweep
+    y = np.sqrt(snr) * (channel.matched_row @ beams)
+    if noise is None:
+        return y
+    if np.shape(noise) != y.shape:
+        raise ValueError(f"need one noise sample per sounding: {y.shape[0]} soundings, "
+                         f"noise of shape {np.shape(noise)}")
+    return y + noise
 
 
 def ratio_metric(chi_minus: float, chi_plus: float) -> float:
@@ -144,30 +140,32 @@ def _report(mu_hat: float, geometry, soundings: int, selection: int,
 
 
 def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
-                       snr: float, rng) -> EstimationReport:
+                       snr: float, noise) -> EstimationReport:
     """Widebeam sweep to pick a sector, then pair ratio inversion inside it.
 
     Stage 1 sounds every widebeam once and keeps the strongest. Stage 2 sounds
     the two steering beams on the selected beam's edges and inverts the power
-    ratio. Uses J + 2 soundings for a J-beam codebook.
+    ratio. Uses J + 2 soundings for a J-beam codebook; `noise` holds the J
+    stage-1 samples, then the two stage-2 samples.
     """
-    sweep = _sounder(channel)
-    j_max = int(np.argmax(np.abs(sweep(codebook.matrix, snr, rng)) ** 2))
+    j = codebook.num_beams
+    stage1, stage2 = (None, None) if noise is None else (noise[:j], noise[j:])
+    j_max = int(np.argmax(np.abs(_sound(channel, codebook.matrix, snr, stage1)) ** 2))
     gamma = float(codebook.boresights[j_max])
-    chi2 = np.abs(sweep(codebook.pairs[j_max], snr, rng)) ** 2
+    chi2 = np.abs(_sound(channel, codebook.pairs[j_max], snr, stage2)) ** 2
     zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma)
     return _report(mu_hat, codebook.geometry, codebook.num_beams + 2, j_max, zeta)
 
 
 def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,
-                 snr: float, rng) -> EstimationReport:
+                 snr: float, noise) -> EstimationReport:
     """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
-    best = int(np.argmax(np.abs(_sounder(channel)(codebook.matrix, snr, rng)) ** 2))
+    best = int(np.argmax(np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2))
     return _report(float(codebook.boresights[best]), codebook.geometry, codebook.num_beams, best)
 
 
 def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
-                     snr: float, rng) -> EstimationReport:
+                     snr: float, noise) -> EstimationReport:
     """Narrow-beam sweep refined by the power ratio of the two strongest neighbors.
 
     Pairs the strongest beam with its larger-power neighbor (the single
@@ -175,7 +173,7 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     midpoint and the pair half width is half their spacing. Reuses the sweep
     powers, so the budget equals the codebook size.
     """
-    chi = np.abs(_sounder(channel)(codebook.matrix, snr, rng)) ** 2
+    chi = np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2
     best = int(np.argmax(chi))
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:

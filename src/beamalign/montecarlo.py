@@ -1,13 +1,18 @@
 """Deterministic Monte Carlo engine: sweep SNR, run trials, aggregate error curves.
 
-Seeding contract: the stream for any draw is derived solely from
-(master_seed, domain, snr_index, trial_index) via numpy SeedSequence spawn
-keys, where domain 0 is the channel draw shared by every estimator (common
-random numbers) and domain e+1 is the sounding noise of estimator entry e.
-Results are therefore bit-identical for any worker count and execution order.
-A trial block derives all of its streams in one array pass that repeats
-SeedSequence's hash word for word (`_spawn_words`), and loads each into one
-generator per domain (`_reseat`); `_stream` is the one-stream definition.
+Seeding contract v2 (`SEEDING_CONTRACT`): trials come in fixed blocks of
+`_TRIAL_BLOCK`, and each (domain, SNR index, block) owns one stream,
+`_stream(master_seed, domain, snr_index, block_index)`. Domain 0 is the
+channel draw shared by every estimator (common random numbers) and domain
+e + 1 is the sounding noise of estimator entry e. Each block draws full
+`_TRIAL_BLOCK`-row arrays in a fixed order, and trial t reads row
+t % _TRIAL_BLOCK, so a trial's draws depend on neither `trials` nor the
+worker count, and results are bit-identical for any execution order:
+
+- channel: AoDs, then AoAs, then CN(0, 1) gains, each (_TRIAL_BLOCK, P), with
+  P = num_paths for Rician channels and 1 for single-path ones;
+- estimator entry e: CN(0, 1) noise, (_TRIAL_BLOCK, soundings), one combined
+  sample per sounding (see `estimators`).
 """
 
 import csv
@@ -28,20 +33,12 @@ from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
 ESTIMATOR_KINDS = ("two_stage", "two_stage_nonadequate", "gob", "gob_abp")
 CHANNEL_KINDS = ("single_path", "rician")
+SEEDING_CONTRACT = 2  # stamped in config_digest and the CSV header; bump when any draw changes
 _TRIAL_BLOCK = 500
-_MAX_TRIALS = 2 ** 32  # every spawn-key entry is one uint32 word
+_MAX_TRIALS = 2 ** 32  # trial indices fit one uint32 word, as every earlier release accepted
 # bound on snr * N * M, about the matched sounding power over |g|**2: eight
 # decades below float overflow, for the gain draw
 _MAX_SOUNDING_POWER = 1e300
-
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, a port of
-# O'Neill's seed_seq) and PCG64's seeding multiplier (pcg64.h)
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -199,75 +196,14 @@ class _Workspace:
 _workspace = functools.cache(_Workspace)
 
 
-def _stream(master_seed: int, domain: int, snr_index: int, trial_index: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(domain, snr_index, trial_index))
+def _stream(master_seed: int, domain: int, snr_index: int, block_index: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(master_seed, spawn_key=(domain, snr_index, block_index))
     return np.random.default_rng(seq)
 
 
-def _hash_consts(init: int, mult: int, first: int, count: int) -> np.ndarray:
-    """init * mult**k mod 2**32 for k = first .. first + count - 1, as a (count, 1, 1) uint32 array."""
-    return np.array([init * pow(mult, k, 1 << 32) & _MASK32 for k in range(first, first + count)],
-                    dtype=np.uint32).reshape(count, 1, 1)
-
-
-def _spawn_words(root: np.random.SeedSequence, domains, snr_index, trials) -> np.ndarray:
-    """PCG64 seed words of every (trial, domain) stream, shape (len(trials), len(domains), 4).
-
-    Entry [t, d] equals SeedSequence(root.entropy, spawn_key=(domains[d],
-    snr_index, trials[t])).generate_state(4, np.uint64). `root.pool` already
-    holds the run entropy, zero-padded to the pool size, mixed in; each
-    spawn-key word then continues the hash into all four pool words at once.
-    The hash runs on uint32 arrays, which wrap silently; its constants do not
-    depend on the data.
-    """
-    key = (np.asarray(domains)[None, :], np.asarray(snr_index).reshape(1, 1), np.asarray(trials)[:, None])
-    for entry in key:
-        if entry.size and not (0 <= entry.min() and entry.max() <= _MASK32):
-            raise ValueError(f"spawn key entries must lie in [0, 2**32), got {entry.ravel().tolist()}")
-    # hashmix calls so far: 4 to fill the pool, 12 to mix it, 4 per run word beyond the pool
-    run_words = max(1, -(-root.entropy.bit_length() // 32))
-    mix_consts = _hash_consts(_INIT_A, _MULT_A, 16 + 4 * max(0, run_words - 4), 4 * len(key) + 1)
-    pool = root.pool[:, None, None]
-    for j, entry in enumerate(key):  # pool[i] = mix(pool[i], hashmix(entry))
-        value = entry.astype(np.uint32) ^ mix_consts[4 * j:4 * j + 4]
-        value *= mix_consts[4 * j + 1:4 * j + 5]
-        value ^= value >> 16
-        pool = pool * _MIX_MULT_L - value * _MIX_MULT_R
-        pool ^= pool >> 16
-    # generate_state(4, np.uint64): 8 uint32 words cycling the pool, paired little-endian
-    out_consts = _hash_consts(_INIT_B, _MULT_B, 0, 9)
-    value = np.concatenate([pool, pool]) ^ out_consts[:8]
-    value *= out_consts[1:]
-    value ^= value >> 16
-    value = value.astype(np.uint64)
-    return np.moveaxis(value[0::2] | value[1::2] << np.uint64(32), 0, -1)
-
-
-def _reseat(rng: np.random.Generator, words) -> np.random.Generator:
-    """Load into `rng` the PCG64 state that seeding from four uint64 `words` gives.
-
-    PCG64 seeds with inc = 2*(words[2], words[3]) + 1 and two LCG steps from
-    zero: state = (inc + (words[0], words[1])) * MULT + inc, mod 2**128.
-    """
-    seed = words[0] << 64 | words[1]
-    inc = (words[2] << 65 | words[3] << 1 | 1) & _MASK128
-    rng.bit_generator.state = {"bit_generator": "PCG64",
-                               "state": {"state": ((inc + seed) * _PCG64_MULT + inc) & _MASK128,
-                                         "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
-
-
-def _draw_channel(config: ExperimentConfig, ws: _Workspace, rng: np.random.Generator):
-    if config.channel_kind == "rician":
-        return make_rician(config.k_factor_db, config.num_paths, config.aod_prior_deg,
-                           config.aoa_prior_deg, rng, ws.geometry_tx, ws.geometry_rx,
-                           nlos_normalized=config.nlos_normalized)
-    aod = rng.uniform(*config.aod_prior_deg)
-    aoa = rng.uniform(*config.aoa_prior_deg)
-    re, im = rng.standard_normal(2)
-    return make_single_path(aod, aoa, complex(re, im) / np.sqrt(2.0),
-                            ws.geometry_tx, ws.geometry_rx)
+def _cn(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """(rows, cols) CN(0, 1) samples; each real part sits next to its imaginary part in the stream."""
+    return rng.standard_normal((rows, cols, 2)).view(complex)[..., 0] / np.sqrt(2.0)
 
 
 _ESTIMATE = {
@@ -279,24 +215,34 @@ _ESTIMATE = {
 
 
 def _block_errors(ws, config, snr_index, start, stop):
-    """Absolute angle errors in degrees for trials start..stop-1, shape (stop - start, E).
+    """Absolute angle errors in degrees for trials start..stop-1 of one block, shape (stop - start, E).
 
-    Every (domain, trial) stream is the one `_stream` returns: the block
-    derives their seeds at once and reseats one generator per domain before
-    each trial. Estimator failures surface through the built-in fallbacks
+    The trials may start mid-block; the block's streams draw their full arrays
+    either way. Estimator failures surface through the built-in fallbacks
     (center estimate), never as a dropped trial.
     """
-    root = np.random.SeedSequence(config.master_seed)
-    n_est = len(config.estimators)
-    words = _spawn_words(root, np.arange(1 + n_est), snr_index, np.arange(start, stop))
-    channel_rng, *noise_rngs = (np.random.Generator(np.random.PCG64(root)) for _ in range(1 + n_est))
+    block, first = divmod(start, _TRIAL_BLOCK)
+    if not start < stop <= (block + 1) * _TRIAL_BLOCK:
+        raise ValueError(f"trials {start}..{stop - 1} do not lie in one block of {_TRIAL_BLOCK}")
+    rows = slice(first, first + stop - start)
+    rician = config.channel_kind == "rician"
+    channel_rng = _stream(config.master_seed, 0, snr_index, block)
+    shape = (_TRIAL_BLOCK, config.num_paths if rician else 1)
+    aods = channel_rng.uniform(*config.aod_prior_deg, shape)[rows].tolist()
+    aoas = channel_rng.uniform(*config.aoa_prior_deg, shape)[rows].tolist()
+    gains = _cn(channel_rng, *shape)[rows].tolist()
+    noise = [_cn(_stream(config.master_seed, ei + 1, snr_index, block), _TRIAL_BLOCK, spec.soundings)[rows]
+             for ei, spec in enumerate(config.estimators)]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    out = np.empty((stop - start, n_est))
-    for t, (channel_words, *noise_words) in enumerate(words.tolist()):
-        channel = _draw_channel(config, ws, _reseat(channel_rng, channel_words))
+    out = np.empty((stop - start, len(config.estimators)))
+    for t, (aod, aoa, gain) in enumerate(zip(aods, aoas, gains)):
+        if rician:
+            channel = make_rician(config.k_factor_db, aod, aoa, gain, ws.geometry_tx, ws.geometry_rx,
+                                  nlos_normalized=config.nlos_normalized)
+        else:
+            channel = make_single_path(aod[0], aoa[0], gain[0], ws.geometry_tx, ws.geometry_rx)
         for ei, spec in enumerate(config.estimators):
-            report = _ESTIMATE[spec.kind](channel, ws.codebooks[ei], snr,
-                                          _reseat(noise_rngs[ei], noise_words[ei]))
+            report = _ESTIMATE[spec.kind](channel, ws.codebooks[ei], snr, noise[ei][t])
             out[t, ei] = abs(channel.aod_deg - report.estimate_deg)
     return out
 
@@ -347,15 +293,15 @@ def run_sweep(config: ExperimentConfig, workers: int = 1):
 
 
 def config_digest(config: ExperimentConfig) -> str:
-    """Stable short hash of the full configuration."""
-    payload = json.dumps(asdict(config), sort_keys=True)
+    """Stable short hash of the full configuration and the seeding contract it runs under."""
+    payload = json.dumps({**asdict(config), "seeding_contract": SEEDING_CONTRACT}, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def write_results_csv(curves, path, config: ExperimentConfig) -> None:
     """Write the result table with reproducibility metadata as header comments."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# beamalign {__version__}\n")
+        fh.write(f"# beamalign {__version__} seeding v{SEEDING_CONTRACT}\n")
         fh.write(f"# master_seed = {config.master_seed}\n")
         fh.write(f"# config_sha256 = {config_digest(config)}\n")
         writer = csv.writer(fh)

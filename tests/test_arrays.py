@@ -35,6 +35,9 @@ def test_angle_to_spatial_domain_error():
         angle_to_spatial(90.5, GEOM16)
     with pytest.raises(ValueError):
         angle_to_spatial(-120.0, GEOM16)
+    for nan in (float("nan"), np.array([0.0, np.nan])):  # NaN is out of range on both paths
+        with pytest.raises(ValueError, match="angle outside"):
+            angle_to_spatial(nan, GEOM16)
 
 
 def test_angle_to_spatial_odd_and_monotone():
@@ -64,6 +67,9 @@ def test_spatial_to_angle_domain_error():
         spatial_to_angle(np.pi * 1.0001, GEOM16)
     with pytest.raises(ValueError):
         spatial_to_angle(-4.0, GEOM16)
+    for nan in (float("nan"), np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="visible range"):
+            spatial_to_angle(nan, GEOM16)
 
 
 def test_steering_boresight():

@@ -34,8 +34,9 @@ def test_is_adequate():
     assert is_adequate(np.pi / 16, 16) == (True, 1)
     assert is_adequate(2 * np.pi / 16, 16) == (True, 2)
     assert is_adequate(1.5 * np.pi / 16, 16) == (False, None)
-    with pytest.raises(ValueError):
-        is_adequate(0.0, 16)
+    for delta in (0.0, -0.1, np.inf, np.nan):
+        with pytest.raises(ValueError, match="positive and finite"):
+            is_adequate(delta, 16)
 
 
 def test_pattern_of_steering_beam():

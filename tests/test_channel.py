@@ -15,6 +15,13 @@ TX8 = ArrayGeometry(8)
 RX4 = ArrayGeometry(4)
 
 
+def drawn_paths(rng, n_paths, trials=None):
+    """AoDs over +-50 deg, AoAs over +-90 deg and CN(0, 1) gains, each (n_paths,) or (trials, n_paths)."""
+    shape = n_paths if trials is None else (trials, n_paths)
+    gains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    return rng.uniform(-50, 50, shape), rng.uniform(-90, 90, shape), gains
+
+
 def test_single_path_boresight_is_all_ones():
     # hand evaluation: alpha = sqrt(8), a_r = ones/sqrt(2), a_t = ones/2
     ch = make_single_path(0.0, 0.0, 1.0, TX4, RX2)
@@ -43,12 +50,13 @@ def test_single_path_angle_validation():
 
 def test_rician_requires_paths():
     with pytest.raises(ValueError):
-        make_rician(10.0, 0, (-50, 50), (-90, 90), np.random.default_rng(0), TX8, RX4)
+        make_rician(10.0, [], [], [], TX8, RX4)
+    with pytest.raises(ValueError):  # one AoA short
+        make_rician(10.0, [0.0, 10.0], [5.0], [1.0, 1.0], TX8, RX4)
 
 
 def test_rician_large_k_is_los():
-    rng = np.random.default_rng(21)
-    ch = make_rician(300.0, 4, (-50, 50), (-90, 90), rng, TX8, RX4)
+    ch = make_rician(300.0, *drawn_paths(np.random.default_rng(21), 4), TX8, RX4)
     los = ch.paths[0]
     a_r = steering(angle_to_spatial(los.aoa_deg, RX4), RX4)
     a_t = steering(angle_to_spatial(los.aod_deg, TX8), TX8)
@@ -58,15 +66,14 @@ def test_rician_large_k_is_los():
 
 
 def test_rician_deterministic_given_stream():
-    a = make_rician(13.5, 4, (-50, 50), (-90, 90), np.random.default_rng(99), TX8, RX4)
-    b = make_rician(13.5, 4, (-50, 50), (-90, 90), np.random.default_rng(99), TX8, RX4)
+    a = make_rician(13.5, *drawn_paths(np.random.default_rng(99), 4), TX8, RX4)
+    b = make_rician(13.5, *drawn_paths(np.random.default_rng(99), 4), TX8, RX4)
     assert a.paths == b.paths
     assert np.array_equal(a.matrix(), b.matrix())
 
 
 def test_matrix_equals_independent_path_sum():
-    rng = np.random.default_rng(4)
-    ch = make_rician(13.5, 4, (-50, 50), (-90, 90), rng, TX8, RX4)
+    ch = make_rician(13.5, *drawn_paths(np.random.default_rng(4), 4), TX8, RX4)
     k = 10 ** (13.5 / 10)
     ref = np.zeros((4, 8), dtype=complex)
     for i, p in enumerate(ch.paths):
@@ -78,8 +85,7 @@ def test_matrix_equals_independent_path_sum():
 
 
 def test_single_path_is_rician_special_case():
-    rng = np.random.default_rng(7)
-    rician = make_rician(300.0, 1, (-50, 50), (-90, 90), rng, TX8, RX4)
+    rician = make_rician(300.0, *drawn_paths(np.random.default_rng(7), 1), TX8, RX4)
     los = rician.paths[0]
     g = los.gain / np.sqrt(8 * 4)
     direct = make_single_path(los.aod_deg, los.aoa_deg, g, TX8, RX4)
@@ -88,11 +94,10 @@ def test_single_path_is_rician_special_case():
 
 def test_rician_mean_power():
     # Monte Carlo oracle: E ||H||_F^2 = N*M*(K + L - 1)/(K + 1) for CN(0,1) gains
-    rng = np.random.default_rng(3)
     k_db, n_paths, trials = 13.5, 4, 100_000
     acc = 0.0
-    for _ in range(trials):
-        ch = make_rician(k_db, n_paths, (-50, 50), (-90, 90), rng, TX8, RX4)
+    for aods, aoas, gains in zip(*drawn_paths(np.random.default_rng(3), n_paths, trials)):
+        ch = make_rician(k_db, aods, aoas, gains, TX8, RX4)
         acc += np.linalg.norm(ch.matrix()) ** 2
     k = 10 ** (k_db / 10)
     predicted = 8 * 4 * (k + n_paths - 1) / (k + 1)
@@ -100,8 +105,7 @@ def test_rician_mean_power():
 
 
 def test_nlos_normalization_option():
-    rng = np.random.default_rng(12)
-    ch = make_rician(13.5, 4, (-50, 50), (-90, 90), rng, TX8, RX4, nlos_normalized=True)
+    ch = make_rician(13.5, *drawn_paths(np.random.default_rng(12), 4), TX8, RX4, nlos_normalized=True)
     w = ch.path_weights()
     k = 10 ** (13.5 / 10)
     assert w[0] == pytest.approx(np.sqrt(k / (1 + k)))

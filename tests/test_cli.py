@@ -4,6 +4,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beamalign import EstimatorSpec, ExperimentConfig, cli
 from beamalign.cli import ConfigError, bundled_config, load_config, main
@@ -327,3 +329,61 @@ def test_codebook_synthesis_failure_exits_3(tmp_path):
     out = tmp_path / "x.csv"
     assert main(["codebook", "--n-tot", "16", "--k", "13", "--out", str(out)]) == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, named", [
+    (["codebook", "--n-tot", "16", "--k", "2", "--delta-scale", "0", "--allow-nonadequate"],
+     "delta_scale = 0.0"),
+    (["codebook", "--k", "0"], "k = 0"),
+    (["codebook", "--delta-scale", "inf", "--allow-nonadequate"], "delta_scale = inf"),
+    (["codebook", "--delta-scale", "nan"], "delta_scale = nan"),
+    (["pattern", "--delta-scale", "inf", "--allow-nonadequate"], "delta must be positive and finite"),
+    (["pattern", "--boresight-deg", "nan"], "angle outside [-90, 90] degrees: nan"),
+    (["codebook", "--span-lo-deg", "nan"], "angle outside [-90, 90] degrees: nan"),
+], ids=["codebook-delta-scale-0", "codebook-k0", "codebook-delta-scale-inf", "codebook-delta-scale-nan",
+        "pattern-delta-scale-inf", "pattern-boresight-nan", "codebook-span-nan"])
+def test_bad_half_width_or_angle_exits_2(tmp_path, caplog, args, named):
+    out = tmp_path / "x.csv"
+    with caplog.at_level(logging.ERROR):
+        assert main(args + ["--out", str(out)]) == 2
+    assert named in caplog.text
+    assert not out.exists()
+
+
+# Floats a user can type, edge values included. delta_scale stays at or above
+# 0.5 when finite and positive: a codebook's beam count grows as 1/delta_scale.
+EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+ANGLES = st.one_of(EDGE_FLOATS, st.floats(-120.0, 120.0))
+SMALL_INTS = st.integers(-2, 20)
+SHARED_FLAGS = {"n-tot": st.integers(-1, 64), "n-rf": st.sampled_from([1, 3, 4, 5]),
+                "delta-scale": st.one_of(EDGE_FLOATS, st.floats(0.5, 2.0)),
+                "allow-nonadequate": st.booleans()}
+COMMAND_FLAGS = {
+    "codebook": {**SHARED_FLAGS, "span-lo-deg": ANGLES, "span-hi-deg": ANGLES,
+                 "num-beams": st.none() | st.integers(-1, 40), "k": st.none() | SMALL_INTS},
+    "pattern": {**SHARED_FLAGS, "boresight-deg": ANGLES, "half-width-k": SMALL_INTS,
+                "grid-points": st.integers(-1, 2048)},
+}
+
+
+@st.composite
+def flag_sets(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    argv = [command]
+    for flag, values in COMMAND_FLAGS[command].items():
+        value = draw(st.none() | values)  # None: leave the flag at its default
+        if value is True:
+            argv.append(f"--{flag}")
+        elif value is not None and value is not False:
+            argv.append(f"--{flag}={value!r}")  # the = form keeps '-inf' from reading as a flag
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=flag_sets())
+def test_cli_flags_exit_by_name_and_write_no_nan(argv, tmp_path_factory):
+    """Any codebook/pattern flag set exits 0, 2 or 3, never with an uncaught error, and writes no NaN."""
+    out = tmp_path_factory.mktemp("cli") / "out.csv"
+    assert main(argv + ["--out", str(out)]) in (0, 2, 3)
+    if out.exists():
+        assert "nan" not in out.read_text().lower()

@@ -18,7 +18,8 @@ from beamalign import (
     steering,
     steering_matrix,
 )
-from beamalign.estimators import _sounder
+from beamalign.estimators import _sound
+from beamalign.montecarlo import _cn
 
 TX16 = ArrayGeometry(16)
 TX32 = ArrayGeometry(32)
@@ -35,7 +36,7 @@ def test_sound_noiseless_matched_beams():
     g = 0.8 - 0.3j
     ch = make_single_path(17.0, -42.0, g, TX16, RX8)
     tx = steering(angle_to_spatial(17.0, TX16), TX16)
-    y = _sounder(ch)(tx[:, None], 4.0, None)
+    y = _sound(ch, tx[:, None], 4.0, None)
     alpha = g * np.sqrt(16 * 8)
     assert y.shape == (1,)
     assert y[0] == pytest.approx(2.0 * alpha, rel=1e-12)
@@ -44,26 +45,28 @@ def test_sound_noiseless_matched_beams():
 def test_sound_orthogonal_beam_is_null():
     ch = make_single_path(0.0, 0.0, 1.0, TX16, RX8)
     tx = steering(2 * np.pi / 16, TX16)
-    assert abs(_sounder(ch)(tx[:, None], 4.0, None)[0]) < 1e-12
+    assert abs(_sound(ch, tx[:, None], 4.0, None)[0]) < 1e-12
 
 
 def test_sound_zero_snr_noise_variance():
-    # with rho = 0 every sample is pure combined noise with unit variance
+    # with rho = 0 every sample is the given noise; the engine's CN(0, 1) draw has unit variance
     ch = make_single_path(0.0, 0.0, 1.0, ArrayGeometry(2), ArrayGeometry(2))
     beams = np.repeat(steering(0.0, ArrayGeometry(2))[:, None], 100_000, axis=1)
-    samples = _sounder(ch)(beams, 0.0, np.random.default_rng(123))
+    noise = _cn(np.random.default_rng(123), 1, 100_000)[0]
+    samples = _sound(ch, beams, 0.0, noise)
+    assert np.array_equal(samples, noise)
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.02)
+    assert np.mean(samples.real ** 2) == pytest.approx(0.5, rel=0.02)
 
 
-def test_sounder_draws_noise_in_one_call():
-    """One (2, M, K) normal draw gives the bits of the two (M, K) draws it replaced."""
+def test_sound_adds_one_noise_sample_per_sounding():
     ch = make_single_path(12.0, -30.0, 0.6 + 0.2j, TX16, RX8)
     beams = steering_matrix([-0.4, 0.1, 0.7], TX16)
-    got = _sounder(ch)(beams, 3.0, np.random.default_rng(5))
-    rng = np.random.default_rng(5)  # the two-call formula, as an oracle
-    noise = (rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))) / np.sqrt(2.0)
-    want = np.sqrt(3.0) * (ch.matched_row @ beams) + ch.matched_combiner.conj() @ noise
-    assert np.array_equal(got, want)
+    noise = np.array([0.3 - 0.1j, -1.2j, 0.5])
+    assert np.array_equal(_sound(ch, beams, 3.0, noise), np.sqrt(3.0) * (ch.matched_row @ beams) + noise)
+    for bad in (noise[:2], noise[:1], np.ones(4)):  # a short row must not broadcast
+        with pytest.raises(ValueError, match="one noise sample per sounding"):
+            _sound(ch, beams, 3.0, bad)
 
 
 # --- ratio metric and inversion ---------------------------------------------
@@ -198,8 +201,10 @@ def test_two_stage_noiseless_exact(widebeams16):
 def test_two_stage_budget_32():
     cb = build_widebeam_codebook((-50.0, 50.0), TX32, num_beams=14)
     ch = make_single_path(10.0, 0.0, 1.0, TX32, RX8)
-    report = estimate_two_stage(ch, cb, 10.0, np.random.default_rng(0))
+    report = estimate_two_stage(ch, cb, 10.0, _cn(np.random.default_rng(0), 1, 16)[0])
     assert report.soundings_used == 16
+    with pytest.raises(ValueError, match="noise"):  # J + 2 = 16 samples, not 15
+        estimate_two_stage(ch, cb, 10.0, np.zeros(15, complex))
 
 
 def test_two_stage_degenerate_falls_back_to_boresight(widebeams16):
@@ -263,6 +268,6 @@ def test_ratio_metric_bounded_on_noisy_trials(widebeams16):
     for _ in range(300):
         ch = make_single_path(rng.uniform(-50, 50), rng.uniform(-90, 90),
                               complex(*rng.standard_normal(2)) / np.sqrt(2), TX16, RX8)
-        report = estimate_two_stage(ch, widebeams16, 1.0, rng)
+        report = estimate_two_stage(ch, widebeams16, 1.0, _cn(rng, 1, 9)[0])
         assert abs(report.ratio_metric) <= 1.0
         assert abs(report.estimate_deg) <= 90.0
