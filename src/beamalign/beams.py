@@ -355,9 +355,13 @@ def widebeam_grid(width: float, num_elements: int, num_beams: int | None = None,
     whose beamwidth 2*delta covers the spacing; otherwise k defaults to 2 and
     the beam count is the smallest that covers the span. `delta_scale` != 1
     scales the half width away from the adequate grid (the non-adequate
-    baseline).
+    baseline). A derived count may not exceed N: no adequate half width needs
+    more over a span of at most 2*pi, so a larger count means `k` or
+    `delta_scale` is out of range.
     """
     n = num_elements
+    if not width > 0:
+        raise ValueError(f"empty span: width {width!r} rad")
     if num_beams is not None and num_beams < 1:
         raise ValueError(f"num_beams must be >= 1, got {num_beams}")
     if k is None:
@@ -367,8 +371,13 @@ def widebeam_grid(width: float, num_elements: int, num_beams: int | None = None,
     if not 0 < delta < np.inf:
         raise ValueError(f"half width delta_scale * k * pi / N must be positive and finite, got "
                          f"{delta!r} from k = {k}, delta_scale = {delta_scale!r}")
-    count = num_beams if num_beams is not None else max(1, int(np.ceil(width / (2.0 * delta) - 1e-9)))
-    return count, delta
+    if num_beams is not None:
+        return num_beams, delta
+    spacings = width / (2.0 * delta) - 1e-9  # inf when delta is subnormal
+    if spacings > n:
+        raise ValueError(f"half width {delta!r} from k = {k}, delta_scale = {delta_scale!r} needs "
+                         f"more than N = {n} beams to tile the span")
+    return max(1, int(np.ceil(spacings))), delta
 
 
 def build_widebeam_codebook(span_deg, geometry: ArrayGeometry, n_rf: int = DEFAULT_N_RF,
@@ -382,8 +391,6 @@ def build_widebeam_codebook(span_deg, geometry: ArrayGeometry, n_rf: int = DEFAU
     """
     lo = angle_to_spatial(span_deg[0], geometry)
     hi = angle_to_spatial(span_deg[1], geometry)
-    if not hi > lo:
-        raise ValueError(f"empty span {span_deg}")
     n = geometry.num_elements
     count, delta = widebeam_grid(hi - lo, n, num_beams, k, delta_scale)
     adequate, k_found = is_adequate(delta, n)

@@ -9,6 +9,9 @@ sample per sounding from its caller (None: noiseless) and draws nothing.
 The receiver always steers at the true arrival angle of the dominant path.
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
+A report holds only what inference computed: the estimate in degrees, the
+stage-1 selection and the pair ratio. The sounding budget is the estimator
+entry's (`EstimatorSpec.soundings`), not the report's.
 """
 
 import numpy as np
@@ -27,11 +30,9 @@ class DegenerateSoundingError(RuntimeError):
 
 @dataclass(frozen=True)
 class EstimationReport:
-    """Estimate in degrees and spatial frequency plus bookkeeping."""
+    """What inference computed: the estimate, the stage-1 pick and the pair ratio (0 without a pair)."""
 
     estimate_deg: float
-    estimate_sf: float
-    soundings_used: int
     stage1_selection: int
     ratio_metric: float
 
@@ -129,13 +130,11 @@ def _refine(chi_minus: float, chi_plus: float, delta: float, center: float) -> t
     return zeta, invert_ratio(zeta, delta, center)
 
 
-def _report(mu_hat: float, geometry, soundings: int, selection: int,
-            zeta: float = 0.0) -> EstimationReport:
-    """Clamp a spatial-frequency estimate to the visible range and report it."""
+def _report(mu_hat: float, geometry, selection: int, zeta: float = 0.0) -> EstimationReport:
+    """Clamp a spatial-frequency estimate to the visible range and report it in degrees."""
     lim = geometry.spatial_limit
     sf = float(min(max(mu_hat, -lim), lim))
-    return EstimationReport(estimate_deg=spatial_to_angle(sf, geometry), estimate_sf=sf,
-                            soundings_used=soundings, stage1_selection=selection,
+    return EstimationReport(estimate_deg=spatial_to_angle(sf, geometry), stage1_selection=selection,
                             ratio_metric=zeta)
 
 
@@ -154,14 +153,14 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     gamma = float(codebook.boresights[j_max])
     chi2 = np.abs(_sound(channel, codebook.pairs[j_max], snr, stage2)) ** 2
     zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma)
-    return _report(mu_hat, codebook.geometry, codebook.num_beams + 2, j_max, zeta)
+    return _report(mu_hat, codebook.geometry, j_max, zeta)
 
 
 def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,
                  snr: float, noise) -> EstimationReport:
     """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
     best = int(np.argmax(np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2))
-    return _report(float(codebook.boresights[best]), codebook.geometry, codebook.num_beams, best)
+    return _report(float(codebook.boresights[best]), codebook.geometry, best)
 
 
 def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
@@ -177,10 +176,10 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     best = int(np.argmax(chi))
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:
-        return _report(float(codebook.boresights[best]), codebook.geometry, codebook.num_beams, best)
+        return _report(float(codebook.boresights[best]), codebook.geometry, best)
     other = max(neighbors, key=lambda i: chi[i])
     lo, hi = min(best, other), max(best, other)
     center = 0.5 * float(codebook.boresights[lo] + codebook.boresights[hi])
     half = 0.5 * float(codebook.boresights[hi] - codebook.boresights[lo])
     zeta, mu_hat = _refine(float(chi[lo]), float(chi[hi]), half, center)
-    return _report(mu_hat, codebook.geometry, codebook.num_beams, best, zeta)
+    return _report(mu_hat, codebook.geometry, best, zeta)

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from beamalign import (
-    ArrayGeometry,
-    angle_to_spatial,
-    make_rician,
-    make_single_path,
-    steering,
-)
+from beamalign import ArrayGeometry, make_rician, make_single_path
 
 TX4 = ArrayGeometry(4)
 RX2 = ArrayGeometry(2)
@@ -46,6 +40,17 @@ def test_single_path_rank_one():
 def test_single_path_angle_validation():
     with pytest.raises(ValueError):
         make_single_path(95.0, 0.0, 1.0, TX4, RX2)
+    with pytest.raises(ValueError, match="angles"):
+        make_single_path(0.0, float("nan"), 1.0, TX4, RX2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan")),
+                                 complex(float("-inf"), 1.0)])
+def test_non_finite_gain_is_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        make_single_path(10.0, -5.0, bad, TX8, RX4)
+    with pytest.raises(ValueError, match="finite"):
+        make_rician(13.5, [10.0, 20.0], [-5.0, 30.0], [0.6 - 0.2j, bad], TX8, RX4)
 
 
 def test_rician_requires_paths():
@@ -55,40 +60,46 @@ def test_rician_requires_paths():
         make_rician(10.0, [0.0, 10.0], [5.0], [1.0, 1.0], TX8, RX4)
 
 
+def path_matrix(aod, aoa, alpha, tx, rx):
+    """alpha * a_r(aoa) a_t(aod)^H from the half-wavelength ULA steering formula."""
+    a_r = np.exp(1j * np.arange(rx.num_elements) * np.pi * np.sin(np.radians(aoa))) / np.sqrt(rx.num_elements)
+    a_t = np.exp(1j * np.arange(tx.num_elements) * np.pi * np.sin(np.radians(aod))) / np.sqrt(tx.num_elements)
+    return alpha * np.outer(a_r, a_t.conj())
+
+
 def test_rician_large_k_is_los():
-    ch = make_rician(300.0, *drawn_paths(np.random.default_rng(21), 4), TX8, RX4)
-    los = ch.paths[0]
-    a_r = steering(angle_to_spatial(los.aoa_deg, RX4), RX4)
-    a_t = steering(angle_to_spatial(los.aod_deg, TX8), TX8)
-    h_los = los.gain * np.outer(a_r, a_t.conj())
+    aods, aoas, gains = drawn_paths(np.random.default_rng(21), 4)
+    ch = make_rician(300.0, aods, aoas, gains, TX8, RX4)
+    h_los = path_matrix(aods[0], aoas[0], gains[0] * np.sqrt(8 * 4), TX8, RX4)
     rel = np.linalg.norm(ch.matrix() - h_los) / np.linalg.norm(h_los)
     assert rel < 1e-6
 
 
 def test_rician_deterministic_given_stream():
-    a = make_rician(13.5, *drawn_paths(np.random.default_rng(99), 4), TX8, RX4)
-    b = make_rician(13.5, *drawn_paths(np.random.default_rng(99), 4), TX8, RX4)
-    assert a.paths == b.paths
+    drawn_a = drawn_paths(np.random.default_rng(99), 4)
+    drawn_b = drawn_paths(np.random.default_rng(99), 4)
+    assert all(np.array_equal(x, y) for x, y in zip(drawn_a, drawn_b))
+    a = make_rician(13.5, *drawn_a, TX8, RX4)
+    b = make_rician(13.5, *drawn_b, TX8, RX4)
     assert np.array_equal(a.matrix(), b.matrix())
+    assert np.array_equal(a.matched_row, b.matched_row)
 
 
 def test_matrix_equals_independent_path_sum():
-    ch = make_rician(13.5, *drawn_paths(np.random.default_rng(4), 4), TX8, RX4)
+    aods, aoas, gains = drawn_paths(np.random.default_rng(4), 4)
+    ch = make_rician(13.5, aods, aoas, gains, TX8, RX4)
     k = 10 ** (13.5 / 10)
     ref = np.zeros((4, 8), dtype=complex)
-    for i, p in enumerate(ch.paths):
+    for i in range(4):
         w = np.sqrt(k / (1 + k)) if i == 0 else np.sqrt(1 / (1 + k))
-        a_r = np.exp(1j * np.arange(4) * np.pi * np.sin(np.radians(p.aoa_deg))) / 2.0
-        a_t = np.exp(1j * np.arange(8) * np.pi * np.sin(np.radians(p.aod_deg))) / np.sqrt(8)
-        ref += w * p.gain * np.outer(a_r, a_t.conj())
+        ref += path_matrix(aods[i], aoas[i], w * gains[i] * np.sqrt(8 * 4), TX8, RX4)
     assert np.max(np.abs(ch.matrix() - ref)) < 1e-12
 
 
 def test_single_path_is_rician_special_case():
-    rician = make_rician(300.0, *drawn_paths(np.random.default_rng(7), 1), TX8, RX4)
-    los = rician.paths[0]
-    g = los.gain / np.sqrt(8 * 4)
-    direct = make_single_path(los.aod_deg, los.aoa_deg, g, TX8, RX4)
+    aods, aoas, gains = drawn_paths(np.random.default_rng(7), 1)
+    rician = make_rician(300.0, aods, aoas, gains, TX8, RX4)
+    direct = make_single_path(aods[0], aoas[0], gains[0], TX8, RX4)
     assert np.max(np.abs(rician.matrix() - direct.matrix())) < 1e-12
 
 
@@ -105,8 +116,9 @@ def test_rician_mean_power():
 
 
 def test_nlos_normalization_option():
-    ch = make_rician(13.5, *drawn_paths(np.random.default_rng(12), 4), TX8, RX4, nlos_normalized=True)
-    w = ch.path_weights()
+    aods, aoas, gains = drawn_paths(np.random.default_rng(12), 4)
+    ch = make_rician(13.5, aods, aoas, gains, TX8, RX4, nlos_normalized=True)
     k = 10 ** (13.5 / 10)
-    assert w[0] == pytest.approx(np.sqrt(k / (1 + k)))
-    assert w[1] == pytest.approx(np.sqrt(1 / (1 + k)) / np.sqrt(3))
+    weights = np.array(ch.gains) / (gains * np.sqrt(8 * 4))
+    assert weights[0] == pytest.approx(np.sqrt(k / (1 + k)))
+    assert weights[1:] == pytest.approx(np.full(3, np.sqrt(1 / (1 + k)) / np.sqrt(3)))

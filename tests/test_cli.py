@@ -340,8 +340,16 @@ def test_codebook_synthesis_failure_exits_3(tmp_path):
     (["pattern", "--delta-scale", "inf", "--allow-nonadequate"], "delta must be positive and finite"),
     (["pattern", "--boresight-deg", "nan"], "angle outside [-90, 90] degrees: nan"),
     (["codebook", "--span-lo-deg", "nan"], "angle outside [-90, 90] degrees: nan"),
+    (["codebook", "--delta-scale", "1e-300", "--allow-nonadequate"], "delta_scale = 1e-300"),
+    (["codebook", "--n-tot", "16", "--delta-scale", "0.05", "--allow-nonadequate"], "delta_scale = 0.05"),
+    (["codebook", "--n-tot", "64", "--k", "1", "--delta-scale", "0.5"], "k = 1, delta_scale = 0.5"),
+    (["codebook", "--delta-scale", "5e-324", "--allow-nonadequate"], "delta_scale = 5e-324"),
+    (["codebook", "--span-lo-deg", "0", "--span-hi-deg", "-1", "--k", "3", "--delta-scale", "5e-324"],
+     "empty span"),
 ], ids=["codebook-delta-scale-0", "codebook-k0", "codebook-delta-scale-inf", "codebook-delta-scale-nan",
-        "pattern-delta-scale-inf", "pattern-boresight-nan", "codebook-span-nan"])
+        "pattern-delta-scale-inf", "pattern-boresight-nan", "codebook-span-nan",
+        "codebook-1e-300-beams", "codebook-123-beams", "codebook-99-beams", "codebook-subnormal-delta",
+        "codebook-reversed-span"])
 def test_bad_half_width_or_angle_exits_2(tmp_path, caplog, args, named):
     out = tmp_path / "x.csv"
     with caplog.at_level(logging.ERROR):
@@ -350,13 +358,15 @@ def test_bad_half_width_or_angle_exits_2(tmp_path, caplog, args, named):
     assert not out.exists()
 
 
-# Floats a user can type, edge values included. delta_scale stays at or above
-# 0.5 when finite and positive: a codebook's beam count grows as 1/delta_scale.
+# Floats a user can type, edge values included. A finite positive
+# delta_scale is drawn from (0, 2], subnormals included: the beam count
+# `codebook` derives grows as 1/delta_scale, and a count above N exits 2
+# with `k` and `delta_scale` named.
 EDGE_FLOATS = st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), float("-inf")])
 ANGLES = st.one_of(EDGE_FLOATS, st.floats(-120.0, 120.0))
 SMALL_INTS = st.integers(-2, 20)
 SHARED_FLAGS = {"n-tot": st.integers(-1, 64), "n-rf": st.sampled_from([1, 3, 4, 5]),
-                "delta-scale": st.one_of(EDGE_FLOATS, st.floats(0.5, 2.0)),
+                "delta-scale": st.one_of(EDGE_FLOATS, st.floats(0.0, 2.0, exclude_min=True)),
                 "allow-nonadequate": st.booleans()}
 COMMAND_FLAGS = {
     "codebook": {**SHARED_FLAGS, "span-lo-deg": ANGLES, "span-hi-deg": ANGLES,

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -234,6 +235,40 @@ def test_benchmark_tracer_wraps_every_span_target():
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
                           env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("fig, workload", [("fig5", "fig5-sweep"), ("fig6", "fig6-rician-w2")])
+def test_traced_sweep_meets_benchmark_predicates(fig, workload, tmp_path):
+    """A traced benchmark job calls every span the harness predicts, and one estimator per cell.
+
+    Runs perfbench/child.py as the benchmark does, on the bundled config cut to
+    2 trials x 2 SNR points, and checks the traced run's own failure
+    predicates; the per-draw count keeps the matched row to one matrix() per draw.
+    """
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": "src"}
+    env.pop("BEAMALIGN_LOG", None)
+    code = 'import json, sys; sys.path.insert(0, "perfbench"); import run; print(json.dumps(run.PREDICTED))'
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    predicted = json.loads(proc.stdout)[workload]
+
+    config_text = (root / "src" / "beamalign" / "configs" / f"{fig}.cfg").read_text()
+    config_path = tmp_path / "input.cfg"
+    config_path.write_text(config_text.replace("trials = 10000", "trials = 2\nsnr_grid_db = 0, 20"))
+    job = {"mode": "sweep", "config": str(config_path), "trace": True, "workers": 1,
+           "out": str(tmp_path / "out.csv"), "result": str(tmp_path / "result.json")}
+    (tmp_path / "job.json").write_text(json.dumps(job))
+    proc = subprocess.run([sys.executable, "perfbench/child.py", str(tmp_path / "job.json")], cwd=root,
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads((tmp_path / "result.json").read_text())
+    spans = res["spans"]
+    calls = {name: spans.get(name, {}).get("calls", 0) for name in predicted}
+    assert all(calls.values()), f"no calls to {[n for n, c in calls.items() if not c]}"
+    assert res["cells"] == 2 * 2 * 5
+    assert sum(spans[f"estimators.{k}"]["calls"] for k in ("two_stage", "gob", "gob_abp")) == res["cells"]
+    assert spans["channel.matrix"]["calls"] == spans["channel.draw"]["calls"] == 2 * 2
 
 
 # sha256 of write_results_csv at 20 trials x 3 SNR points, workers 1, recorded
