@@ -110,6 +110,12 @@ class SteeringCodebook:
     def num_beams(self) -> int:
         return len(self.boresights)
 
+    @cached_property
+    def pair_geometry(self) -> tuple:
+        """Per adjacent beam pair (i, i + 1), its center and half width: half the boresight sum and spacing."""
+        b = self.boresights
+        return tuple(zip((0.5 * (b[:-1] + b[1:])).tolist(), (0.5 * (b[1:] - b[:-1])).tolist()))
+
 
 def is_adequate(delta: float, num_elements: int):
     """Check delta = k*pi/N for a positive integer k; returns (bool, k or None)."""
@@ -410,7 +416,7 @@ def build_steering_codebook(span_deg, num_beams: int, geometry: ArrayGeometry) -
     if not hi > lo:
         raise ValueError(f"empty span {span_deg}")
     spacing = (hi - lo) / num_beams
-    boresights = lo + (np.arange(num_beams) + 0.5) * spacing
+    boresights = _read_only(lo + (np.arange(num_beams) + 0.5) * spacing)
     return SteeringCodebook(boresights=boresights,
                             matrix=steering_matrix(boresights, geometry),
                             geometry=geometry)

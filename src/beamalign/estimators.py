@@ -9,6 +9,8 @@ sample per sounding from its caller (None: noiseless) and draws nothing.
 The receiver always steers at the true arrival angle of the dominant path.
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
+A pair total at most PAIR_NULL_FRACTION of the strongest sweep power is a
+shared null of both pair beams (an even-k boresight) and falls back to 0.
 A report holds only what inference computed: the estimate in degrees, the
 stage-1 selection and the pair ratio. The sounding budget is the estimator
 entry's (`EstimatorSpec.soundings`), not the report's.
@@ -22,6 +24,7 @@ from .beams import SteeringCodebook, WidebeamCodebook, is_adequate
 from .channel import ChannelRealization
 
 POWER_FLOOR = 1e-300
+PAIR_NULL_FRACTION = 1e-20  # about 13 decades below any fig3-fig6 draw's pair total / peak
 
 
 class DegenerateSoundingError(RuntimeError):
@@ -117,14 +120,14 @@ def closed_form_powers(mu: float, center: float, delta: float, num_elements: int
     return one_side(delta), one_side(-delta)
 
 
-def _refine(chi_minus: float, chi_plus: float, delta: float, center: float) -> tuple:
+def _refine(chi_minus: float, chi_plus: float, delta: float, center: float, peak: float) -> tuple:
     """Pair refinement: (zeta, mu_hat) from the two pair powers.
 
-    A degenerate pair (both powers at the floor) falls back to zeta = 0, the
-    pair center.
+    A pair at a shared null (total at most PAIR_NULL_FRACTION of the sweep's
+    `peak` power) or at the floor falls back to zeta = 0, the pair center.
     """
     try:
-        zeta = ratio_metric(chi_minus, chi_plus)
+        zeta = ratio_metric(chi_minus, chi_plus) if chi_minus + chi_plus > PAIR_NULL_FRACTION * peak else 0.0
     except DegenerateSoundingError:
         zeta = 0.0
     return zeta, invert_ratio(zeta, delta, center)
@@ -149,10 +152,11 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     """
     j = codebook.num_beams
     stage1, stage2 = (None, None) if noise is None else (noise[:j], noise[j:])
-    j_max = int(np.argmax(np.abs(_sound(channel, codebook.matrix, snr, stage1)) ** 2))
+    chi1 = np.abs(_sound(channel, codebook.matrix, snr, stage1)) ** 2
+    j_max = int(np.argmax(chi1))
     gamma = float(codebook.boresights[j_max])
     chi2 = np.abs(_sound(channel, codebook.pairs[j_max], snr, stage2)) ** 2
-    zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma)
+    zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma, chi1[j_max])
     return _report(mu_hat, codebook.geometry, j_max, zeta)
 
 
@@ -168,8 +172,8 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     """Narrow-beam sweep refined by the power ratio of the two strongest neighbors.
 
     Pairs the strongest beam with its larger-power neighbor (the single
-    available one at the codebook edges); the pair center is the boresight
-    midpoint and the pair half width is half their spacing. Reuses the sweep
+    available one at the codebook edges) and inverts at that pair's stored
+    center and half width (`SteeringCodebook.pair_geometry`). Reuses the sweep
     powers, so the budget equals the codebook size.
     """
     chi = np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2
@@ -178,8 +182,7 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     if not neighbors:
         return _report(float(codebook.boresights[best]), codebook.geometry, best)
     other = max(neighbors, key=lambda i: chi[i])
-    lo, hi = min(best, other), max(best, other)
-    center = 0.5 * float(codebook.boresights[lo] + codebook.boresights[hi])
-    half = 0.5 * float(codebook.boresights[hi] - codebook.boresights[lo])
-    zeta, mu_hat = _refine(float(chi[lo]), float(chi[hi]), half, center)
+    lo = min(best, other)
+    center, half = codebook.pair_geometry[lo]
+    zeta, mu_hat = _refine(float(chi[lo]), float(chi[lo + 1]), half, center, chi[best])
     return _report(mu_hat, codebook.geometry, best, zeta)

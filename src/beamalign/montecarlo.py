@@ -5,9 +5,10 @@ Seeding contract v2 (`SEEDING_CONTRACT`): trials come in fixed blocks of
 `_stream(master_seed, domain, snr_index, block_index)`. Domain 0 is the
 channel draw shared by every estimator (common random numbers) and domain
 e + 1 is the sounding noise of estimator entry e. Each block draws full
-`_TRIAL_BLOCK`-row arrays in a fixed order, and trial t reads row
-t % _TRIAL_BLOCK, so a trial's draws depend on neither `trials` nor the
-worker count, and results are bit-identical for any execution order:
+`_TRIAL_BLOCK`-row arrays in a fixed order and runs its first rows (fewer in
+the last block), trial t being row t % _TRIAL_BLOCK of block t // _TRIAL_BLOCK.
+So a trial's draws depend on neither `trials` nor the worker count, and
+results are bit-identical for any execution order:
 
 - channel: AoDs, then AoAs, then CN(0, 1) gains, each (_TRIAL_BLOCK, P), with
   P = num_paths for Rician channels and 1 for single-path ones;
@@ -20,6 +21,7 @@ import functools
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -31,11 +33,17 @@ from .beams import (HalfWidthError, build_steering_codebook, build_widebeam_code
 from .channel import make_rician, make_single_path
 from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
-ESTIMATOR_KINDS = ("two_stage", "two_stage_nonadequate", "gob", "gob_abp")
+_ESTIMATE = {
+    "two_stage": estimate_two_stage,
+    "two_stage_nonadequate": estimate_two_stage,
+    "gob": estimate_gob,
+    "gob_abp": estimate_gob_abp,
+}
+ESTIMATOR_KINDS = tuple(_ESTIMATE)
 CHANNEL_KINDS = ("single_path", "rician")
 SEEDING_CONTRACT = 2  # stamped in config_digest and the CSV header; bump when any draw changes
 _TRIAL_BLOCK = 500
-_MAX_TRIALS = 2 ** 32  # trial indices fit one uint32 word, as every earlier release accepted
+_MAX_TRIALS = 2 ** 32  # the bound earlier releases accepted; the v2 spawn keys do not need it
 # bound on snr * N * M, about the matched sounding power over |g|**2: eight
 # decades below float overflow, for the gain draw
 _MAX_SOUNDING_POWER = 1e300
@@ -137,19 +145,21 @@ class ExperimentConfig:
                              f"spans {width:.4g} rad of spatial frequency, not in (0, 2*pi]")
         for spec in self.estimators:
             if spec.kind.startswith("two_stage"):
-                half = widebeam_grid(width, self.n_tot, **_widebeam_options(self, spec))[1]
-            elif spec.kind == "gob_abp" and spec.beams > 1:
-                half = 0.5 * width / spec.beams
+                halves = [widebeam_grid(width, self.n_tot, **_widebeam_options(self, spec))[1]]
+            elif spec.kind == "gob_abp":
+                halves = [half for _, half in build_steering_codebook(self.aod_prior_deg, spec.beams,
+                                                                      geometry).pair_geometry]
             else:
                 continue
             # the domain of invert_ratio, whose denominator at a zero ratio is sin(half)**2
-            if not (0 < half < np.pi / 2 and np.sin(half) ** 2 > 0):
-                raise ValueError(f"{spec.kind} = {spec.beams}: pair half width {half:.6g} rad "
-                                 f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2) "
-                                 f"or its sin**2 underflows")
+            for half in halves:
+                if not (0 < half < np.pi / 2 and np.sin(half) ** 2 > 0):
+                    raise ValueError(f"{spec.kind} = {spec.beams}: pair half width {half:.6g} rad "
+                                     f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2) "
+                                     f"or its sin**2 underflows")
             if spec.kind.startswith("two_stage") and self.n_rf != 1:  # one chain needs no synthesis
                 try:
-                    check_half_width(half, self.n_tot)
+                    check_half_width(halves[0], self.n_tot)
                 except HalfWidthError as exc:
                     raise ValueError(f"{spec.kind} = {spec.beams}: {exc}") from None
 
@@ -206,25 +216,14 @@ def _cn(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     return rng.standard_normal((rows, cols, 2)).view(complex)[..., 0] / np.sqrt(2.0)
 
 
-_ESTIMATE = {
-    "two_stage": estimate_two_stage,
-    "two_stage_nonadequate": estimate_two_stage,
-    "gob": estimate_gob,
-    "gob_abp": estimate_gob_abp,
-}
+def _block_errors(ws, config, snr_index, block, count):
+    """Absolute angle errors in degrees for the first `count` trials of one block, shape (count, E).
 
-
-def _block_errors(ws, config, snr_index, start, stop):
-    """Absolute angle errors in degrees for trials start..stop-1 of one block, shape (stop - start, E).
-
-    The trials may start mid-block; the block's streams draw their full arrays
-    either way. Estimator failures surface through the built-in fallbacks
-    (center estimate), never as a dropped trial.
+    The block's streams draw their full arrays either way. Estimator failures
+    surface through the built-in fallbacks (center estimate), never as a
+    dropped trial.
     """
-    block, first = divmod(start, _TRIAL_BLOCK)
-    if not start < stop <= (block + 1) * _TRIAL_BLOCK:
-        raise ValueError(f"trials {start}..{stop - 1} do not lie in one block of {_TRIAL_BLOCK}")
-    rows = slice(first, first + stop - start)
+    rows = slice(count)  # the block's first `count` trials
     rician = config.channel_kind == "rician"
     channel_rng = _stream(config.master_seed, 0, snr_index, block)
     shape = (_TRIAL_BLOCK, config.num_paths if rician else 1)
@@ -234,7 +233,7 @@ def _block_errors(ws, config, snr_index, start, stop):
     noise = [_cn(_stream(config.master_seed, ei + 1, snr_index, block), _TRIAL_BLOCK, spec.soundings)[rows]
              for ei, spec in enumerate(config.estimators)]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    out = np.empty((stop - start, len(config.estimators)))
+    out = np.empty((count, len(config.estimators)))
     for t, (aod, aoa, gain) in enumerate(zip(aods, aoas, gains)):
         if rician:
             channel = make_rician(config.k_factor_db, aod, aoa, gain, ws.geometry_tx, ws.geometry_rx,
@@ -247,35 +246,26 @@ def _block_errors(ws, config, snr_index, start, stop):
     return out
 
 
-def _trial_errors(ws, config, snr_index, trial_index):
-    """Absolute angle error in degrees for one trial, per estimator entry."""
-    return _block_errors(ws, config, snr_index, trial_index, trial_index + 1)[0]
-
-
 def _run_block(args):
-    config, snr_index, start, stop = args
-    return snr_index, start, _block_errors(_workspace(config), config, snr_index, start, stop)
+    config, snr_index, block, count = args
+    return snr_index, block, _block_errors(_workspace(config), config, snr_index, block, count)
 
 
 def run_sweep(config: ExperimentConfig, workers: int = 1):
     """Run every (estimator, SNR, trial) cell; returns one ErrorCurve per estimator.
 
-    Work is split into fixed trial blocks; results are placed by index, so the
-    output is bit-identical for any `workers` value.
+    Each task is one (SNR index, block, trial count); results are placed by
+    block, so the output is bit-identical for any `workers` value.
     """
     _workspace(config)  # synthesize codebooks up front so failures surface here
     n_snr, n_trials = len(config.snr_grid_db), config.trials
     errors = np.empty((n_snr, n_trials, len(config.estimators)))
-    tasks = [(config, si, start, min(start + _TRIAL_BLOCK, n_trials))
+    tasks = [(config, si, start // _TRIAL_BLOCK, min(_TRIAL_BLOCK, n_trials - start))
              for si in range(n_snr) for start in range(0, n_trials, _TRIAL_BLOCK)]
-    if workers <= 1:
-        results = map(_run_block, tasks)
-        for si, start, block in results:
-            errors[si, start:start + len(block)] = block
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            for si, start, block in pool.map(_run_block, tasks, chunksize=1):
-                errors[si, start:start + len(block)] = block
+    pool = ProcessPoolExecutor(min(workers, len(tasks))) if workers > 1 else None
+    with pool or nullcontext():
+        for si, block, rows in (pool.map if pool else map)(_run_block, tasks):
+            errors[si, block * _TRIAL_BLOCK:][:len(rows)] = rows
 
     curves = []
     for ei, spec in enumerate(config.estimators):

@@ -137,6 +137,19 @@ def test_c03_noiseless_exactness():
         assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("n, k", [(16, 2), (16, 4), (32, 2), (32, 4)])
+def test_c03_noiseless_exact_at_every_boresight(n, k):
+    """At an even-k boresight both pair beams share a null; the estimate is the boresight itself."""
+    with criterion("C03", f"noiseless two-stage exact at every boresight, N={n}, k={k}"):
+        tx, rx = ArrayGeometry(n), ArrayGeometry(8)
+        widebeams = build_widebeam_codebook((-50.0, 50.0), tx, k=k)
+        for gamma in widebeams.boresights:
+            theta = spatial_to_angle(float(gamma), tx)
+            ch = make_single_path(theta, 20.0, 1.0, tx, rx)
+            err = abs(theta - estimate_two_stage(ch, widebeams, 100.0, None).estimate_deg)
+            assert err < 1e-9, f"error {err:.3e} deg at boresight {theta:.4f} deg"
+
+
 def test_c04_gob_quantization_floor(fig4_top):
     cfg, curves, sweep_s = fig4_top
     with criterion("C04", "grid-of-beams error at 35 dB matches the quadrature floor"):

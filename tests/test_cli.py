@@ -151,7 +151,7 @@ SMALL_RUN = "[experiment]\n"
     ("n_tot = 3\n[estimators]\ntwo_stage = 3\n", "two_stage"),  # pi/3: no out-of-band sample at N=3
     ("n_rf = 4\n", "n_rf"),  # widebeam offsets come in pairs: n_rf must be odd
     ("n_rf = 0\n[estimators]\ngob = 16\n", "n_rf"),  # rejected even with no widebeam to synthesize
-    ("trials = 4294967297\n", "trials"),  # trial indices are one uint32 spawn-key word
+    ("trials = 4294967297\n", "trials"),  # above the 2**32 bound earlier releases accepted
     # 10 ** (x / 10) overflows, or the value is not a number of dB at all
     ("trials = 3\n[channel]\nkind = rician\nk_factor_db = 4000\n", "k_factor_db"),
     ("trials = 3\nsnr_grid_db = 0, 4000\n", "snr_grid_db"),
@@ -160,11 +160,13 @@ SMALL_RUN = "[experiment]\n"
     ("trials = 3\nsnr_grid_db = 0, 3075\n", "snr_grid_db"),
     ("aod_prior_deg = 0, 5e-324\n[estimators]\ngob = 16\n", "aod_prior_deg"),  # zero spatial width
     ("aod_prior_deg = 0, 1e-181\n[estimators]\ngob_abp = 2\n", "gob_abp"),  # sin(half)**2 underflows
+    # one ulp wide: adjacent boresights round to one value, a pair half width of 0
+    ("aod_prior_deg = 30, 30.000000000000004\n[estimators]\ngob_abp = 16\n", "gob_abp"),
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
         "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32",
         "k_factor-overflow", "snr-overflow", "k_factor-inf", "snr-sounding-overflow",
-        "aod-prior-zero-width", "gob_abp-half-width-underflow"])
+        "aod-prior-zero-width", "gob_abp-half-width-underflow", "gob_abp-one-ulp-prior"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)
