@@ -10,7 +10,7 @@ The receiver always steers at the true arrival angle of the dominant path.
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
 A pair total at most PAIR_NULL_FRACTION of the strongest sweep power is a
-shared null of both pair beams (an even-k boresight) and falls back to 0.
+shared null of both pair beams (an even-k boresight): its ratio is 0.
 A report holds only what inference computed: the estimate in degrees, the
 stage-1 selection and the pair ratio. The sounding budget is the estimator
 entry's (`EstimatorSpec.soundings`), not the report's.

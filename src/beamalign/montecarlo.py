@@ -223,7 +223,7 @@ def _block_errors(ws, config, snr_index, block, count):
     surface through the built-in fallbacks (center estimate), never as a
     dropped trial.
     """
-    rows = slice(count)  # the block's first `count` trials
+    rows = slice(count)
     rician = config.channel_kind == "rician"
     channel_rng = _stream(config.master_seed, 0, snr_index, block)
     shape = (_TRIAL_BLOCK, config.num_paths if rician else 1)
