@@ -40,10 +40,6 @@ class SynthesisError(RuntimeError):
         self.best = best
 
 
-class HalfWidthError(ValueError):
-    """Half width too wide to synthesize: no pattern sample lies beyond delta + 2*pi/N."""
-
-
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -220,14 +216,15 @@ def check_n_rf(n_rf: int) -> None:
         raise ValueError(f"n_rf must be odd and >= 3 (or exactly 1), got {n_rf}")
 
 
-def check_half_width(delta: float, num_elements: int) -> None:
-    """Raise HalfWidthError unless a widebeam of half width delta can be scored.
+def check_half_width(delta: float, num_elements: int, n_rf: int) -> None:
+    """Raise ValueError unless a widebeam of half width delta can be synthesized on n_rf chains.
 
-    The synthesizer scores each candidate's sidelobe beyond delta + 2*pi/N
-    on a pattern grid that ends at pi, so delta must stay below pi - 2*pi/N.
+    One chain is a plain steering beam and needs no synthesis. Otherwise the
+    synthesizer scores each candidate's sidelobe beyond delta + 2*pi/N on a
+    pattern grid that ends at pi, so delta must stay below pi - 2*pi/N.
     """
-    if delta + 2.0 * np.pi / num_elements >= np.pi:
-        raise HalfWidthError(
+    if n_rf != 1 and delta + 2.0 * np.pi / num_elements >= np.pi:
+        raise ValueError(
             f"half width {delta:.6g} rad leaves no out-of-band sample at N={num_elements}: "
             f"it must be below pi - 2*pi/N = {np.pi - 2.0 * np.pi / num_elements:.6g} rad")
 
@@ -252,7 +249,7 @@ def _synthesize_centered(num_elements: int, n_rf: int, delta: float):
     check_n_rf(n_rf)
     if n_rf == 1:
         return (0.0,), np.array([1.0 + 0.0j]), steering(0.0, geom)
-    check_half_width(delta, n)
+    check_half_width(delta, n, n_rf)
     start = perf_counter()
 
     xi_values = np.linspace(2.0 * delta / XI_GRID_STEPS, 2.0 * delta, XI_GRID_STEPS)

@@ -1,8 +1,10 @@
 """Command-line driver: run Monte Carlo sweeps, export beam patterns and codebooks.
 
 Exit codes: 0 success, 2 configuration error, 3 widebeam synthesis failure,
-4 I/O error. Diagnostics verbosity comes from the BEAMALIGN_LOG environment
-variable (DEBUG/INFO/WARNING/ERROR, default WARNING) and goes to stderr.
+4 I/O error. Bad input raises ValueError, named by the code that read it:
+the config key or the command's flag. Diagnostics verbosity comes from the
+BEAMALIGN_LOG environment variable (DEBUG/INFO/WARNING/ERROR, default
+WARNING) and goes to stderr.
 """
 
 import argparse
@@ -17,9 +19,9 @@ import numpy as np
 
 from .arrays import ArrayGeometry, angle_to_spatial
 from .beams import (
-    HalfWidthError,
     SynthesisError,
     build_widebeam_codebook,
+    check_half_width,
     is_adequate,
     synthesize_widebeam,
     widebeam_grid,
@@ -40,10 +42,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SYNTHESIS = 3
 EXIT_IO = 4
-
-
-class ConfigError(Exception):
-    """Malformed or unknown configuration content; message names the key."""
 
 
 def bundled_config(name: str):
@@ -101,10 +99,10 @@ def load_config(path) -> ExperimentConfig:
     for section in parser.sections():
         keys = _SECTIONS.get(section)
         if keys is None:
-            raise ConfigError(f"unknown section [{section}]")
+            raise ValueError(f"unknown section [{section}]")
         for key, text in parser.items(section):
             if key not in keys:
-                raise ConfigError(f"unknown key {key!r} in [{section}]")
+                raise ValueError(f"unknown key {key!r} in [{section}]")
             name = keys[key]
             try:
                 if name == "estimators":
@@ -114,12 +112,9 @@ def load_config(path) -> ExperimentConfig:
                 else:
                     kwargs[name] = _PARSERS[_FIELDS[name].type](text)
             except ValueError as exc:
-                raise ConfigError(f"{key}: {exc}") from None
+                raise ValueError(f"{key}: {exc}") from None
 
-    try:
-        config = ExperimentConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    config = ExperimentConfig(**kwargs)
     for name in _FIELDS:
         log.info("config: %s = %r%s", name, getattr(config, name),
                  "" if name in kwargs else " (default)")
@@ -139,23 +134,29 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _adequacy_gate(delta: float, args) -> None:
-    """Raise ConfigError for a non-adequate half width delta unless --allow-nonadequate is given."""
-    if is_adequate(delta, args.n_tot)[0]:
-        return
-    if not args.allow_nonadequate:
-        raise ConfigError(f"half width {delta:g} is not k*pi/N_tot; pass --allow-nonadequate to force")
-    log.warning("synthesizing a non-adequate widebeam (half width %g)", delta)
+def _half_width_gate(delta: float, args, flag: str) -> None:
+    """Raise ValueError unless half width delta is adequate (or allowed) and synthesizable, naming `flag`."""
+    if not is_adequate(delta, args.n_tot)[0]:
+        if not args.allow_nonadequate:
+            raise ValueError(f"half width {delta:g} is not k*pi/N_tot; pass --allow-nonadequate to force")
+        log.warning("synthesizing a non-adequate widebeam (half width %g)", delta)
+    try:
+        check_half_width(delta, args.n_tot, args.n_rf)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
 def _cmd_pattern(args) -> int:
     if args.half_width_k < 1:
-        raise ConfigError(f"--half-width-k must be a positive integer, got {args.half_width_k}")
-    if args.grid_points < 1:
-        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
+        raise ValueError(f"--half-width-k must be a positive integer, got {args.half_width_k}")
+    for flag, value in (("--n-tot", args.n_tot), ("--grid-points", args.grid_points)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     geom = ArrayGeometry(args.n_tot)
     delta = args.half_width_k * args.delta_scale * np.pi / args.n_tot
-    _adequacy_gate(delta, args)
+    if not 0 < delta < np.inf:
+        raise ValueError(f"--delta-scale: half width must be positive and finite, got {delta!r}")
+    _half_width_gate(delta, args, "--half-width-k")
     beam = synthesize_widebeam(angle_to_spatial(args.boresight_deg, geom), delta,
                                args.n_rf, geom, allow_nonadequate=True)
     write_pattern_csv(args.out, beam.combined, geom, grid_points=args.grid_points)
@@ -165,10 +166,13 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
+    if args.n_tot < 1:
+        raise ValueError(f"--n-tot must be >= 1, got {args.n_tot}")
     span = (args.span_lo_deg, args.span_hi_deg)
     geom = ArrayGeometry(args.n_tot)
     width = angle_to_spatial(span[1], geom) - angle_to_spatial(span[0], geom)
-    _adequacy_gate(widebeam_grid(width, args.n_tot, args.num_beams, args.k, args.delta_scale)[1], args)
+    delta = widebeam_grid(width, args.n_tot, args.num_beams, args.k, args.delta_scale)[1]
+    _half_width_gate(delta, args, "--k")
     codebook = build_widebeam_codebook(span, geom, n_rf=args.n_rf, num_beams=args.num_beams,
                                        k=args.k, delta_scale=args.delta_scale)
     write_codebook_csv(args.out, codebook)
@@ -180,8 +184,6 @@ def _cmd_codebook(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="beamalign",
                                      description="Two-stage AoD estimation experiments")
-    # a HalfWidthError names the flag that set the half width, where there is one
-    parser.set_defaults(half_width_flag="config error")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a configured Monte Carlo sweep")
@@ -202,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="scale the half width away from the adequate grid")
     p_pat.add_argument("--allow-nonadequate", action="store_true")
     p_pat.add_argument("--out", required=True)
-    p_pat.set_defaults(func=_cmd_pattern, half_width_flag="--half-width-k")
+    p_pat.set_defaults(func=_cmd_pattern)
 
     p_cb = sub.add_parser("codebook", help="build a widebeam codebook and export it")
     p_cb.add_argument("--n-tot", type=int, default=16)
@@ -214,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cb.add_argument("--delta-scale", type=float, default=1.0)
     p_cb.add_argument("--allow-nonadequate", action="store_true")
     p_cb.add_argument("--out", required=True)
-    p_cb.set_defaults(func=_cmd_codebook, half_width_flag="--k")
+    p_cb.set_defaults(func=_cmd_codebook)
     return parser
 
 
@@ -228,10 +230,7 @@ def main(argv=None) -> int:
     except SynthesisError as exc:
         log.error("widebeam synthesis failed: %s", exc)
         return EXIT_SYNTHESIS
-    except HalfWidthError as exc:
-        log.error("%s: %s", args.half_width_flag, exc)
-        return EXIT_CONFIG
-    except (ConfigError, configparser.Error, ValueError) as exc:
+    except (configparser.Error, ValueError) as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
     except OSError as exc:

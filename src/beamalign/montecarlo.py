@@ -28,8 +28,7 @@ import numpy as np
 
 from ._version import __version__
 from .arrays import ArrayGeometry, angle_to_spatial
-from .beams import (HalfWidthError, build_steering_codebook, build_widebeam_codebook, check_half_width,
-                    check_n_rf, widebeam_grid)
+from .beams import build_steering_codebook, build_widebeam_codebook, check_half_width, check_n_rf, widebeam_grid
 from .channel import make_rician, make_single_path
 from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
 
@@ -117,10 +116,10 @@ class ExperimentConfig:
         if self.channel_kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel_kind!r}; expected one of {CHANNEL_KINDS}")
         if not self.estimators:
-            raise ValueError("at least one estimator entry is required")
-        for prior in (self.aod_prior_deg, self.aoa_prior_deg):
+            raise ValueError("estimators: at least one estimator entry is required")
+        for key, prior in (("aod_prior_deg", self.aod_prior_deg), ("aoa_prior_deg", self.aoa_prior_deg)):
             if not (-90.0 <= prior[0] < prior[1] <= 90.0):
-                raise ValueError(f"prior {prior} must be an increasing interval within [-90, 90]")
+                raise ValueError(f"{key} {prior} must be an increasing interval within [-90, 90]")
         if not self.snr_grid_db:
             raise ValueError("snr_grid_db must hold at least one point")
         for key, values in (("snr_grid_db", self.snr_grid_db), ("k_factor_db", (self.k_factor_db,))):
@@ -132,7 +131,7 @@ class ExperimentConfig:
             raise ValueError(f"snr_grid_db point {peak!r} at n_tot = {self.n_tot}, m_tot = {self.m_tot} "
                              f"gives a matched sounding power above {_MAX_SOUNDING_POWER:g}")
         if any(b <= a for a, b in zip(self.snr_grid_db, self.snr_grid_db[1:])):
-            raise ValueError("snr grid must be strictly increasing")
+            raise ValueError("snr_grid_db must be strictly increasing")
         if self.master_seed < 0:
             raise ValueError("master_seed must be a nonnegative integer")
         if self.channel_kind == "rician" and self.num_paths < 1:
@@ -145,7 +144,10 @@ class ExperimentConfig:
                              f"spans {width:.4g} rad of spatial frequency, not in (0, 2*pi]")
         for spec in self.estimators:
             if spec.kind.startswith("two_stage"):
-                halves = [widebeam_grid(width, self.n_tot, **_widebeam_options(self, spec))[1]]
+                try:  # with the beam count set, only nonadequate_k can put the half width out of range
+                    halves = [widebeam_grid(width, self.n_tot, **_widebeam_options(self, spec))[1]]
+                except ValueError as exc:
+                    raise ValueError(f"{spec.kind} = {spec.beams}: nonadequate_k: {exc}") from None
             elif spec.kind == "gob_abp":
                 halves = [half for _, half in build_steering_codebook(self.aod_prior_deg, spec.beams,
                                                                       geometry).pair_geometry]
@@ -157,10 +159,10 @@ class ExperimentConfig:
                     raise ValueError(f"{spec.kind} = {spec.beams}: pair half width {half:.6g} rad "
                                      f"over aod_prior_deg = {self.aod_prior_deg} is outside (0, pi/2) "
                                      f"or its sin**2 underflows")
-            if spec.kind.startswith("two_stage") and self.n_rf != 1:  # one chain needs no synthesis
+            if spec.kind.startswith("two_stage"):
                 try:
-                    check_half_width(halves[0], self.n_tot)
-                except HalfWidthError as exc:
+                    check_half_width(halves[0], self.n_tot, self.n_rf)
+                except ValueError as exc:
                     raise ValueError(f"{spec.kind} = {spec.beams}: {exc}") from None
 
 

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from beamalign import beams
 from beamalign import (
@@ -252,6 +254,13 @@ def test_synthesize_rejects_half_width_without_out_of_band_sample(k, monkeypatch
         synthesize_widebeam(0.0, k * np.pi / 16, 5, GEOM16)
 
 
+def test_check_half_width_exempts_one_chain():
+    """One RF chain is a plain steering beam, so no half width is too wide for it."""
+    beams.check_half_width(np.pi, 16, 1)
+    with pytest.raises(ValueError, match=r"below pi - 2\*pi/N"):
+        beams.check_half_width(np.pi, 16, 3)
+
+
 def test_synthesis_logs_one_debug_line(caplog):
     with caplog.at_level(logging.DEBUG, logger="beamalign"):
         beams._synthesize_centered.__wrapped__(16, 5, 2 * np.pi / 16)
@@ -294,6 +303,30 @@ def test_codebook_invariants():
         lo, hi = cb.span
         for mu in np.linspace(lo, hi, 2001):
             assert np.min(np.abs(bores - mu)) <= cb.half_width + 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 64), spacing=st.floats(0.05, 1.0),
+       span=st.lists(st.floats(-90.0, 90.0), min_size=2, max_size=2, unique=True).map(sorted),
+       count=st.integers(1, 64), by_k=st.booleans())
+def test_codebook_covers_its_span(n, spacing, span, count, by_k):
+    """Every point of the span lies within one half width of a boresight, whichever count sets the tiling.
+
+    With both num_beams and k given, coverage is the caller's choice, so
+    only one is drawn. The farthest points from the boresights are the span
+    edges and the midpoints between neighbours.
+    """
+    geom = ArrayGeometry(n, spacing)
+    options = {"k": count} if by_k else {"num_beams": count}
+    width = angle_to_spatial(span[1], geom) - angle_to_spatial(span[0], geom)
+    try:
+        beams.widebeam_grid(width, n, **options)
+    except ValueError:
+        reject()
+    cb = build_widebeam_codebook(tuple(span), geom, n_rf=1, **options)  # one chain: nothing synthesized
+    bores = cb.boresights
+    farthest = np.concatenate([cb.span, 0.5 * (bores[:-1] + bores[1:])])
+    assert np.abs(farthest[:, None] - bores).min(axis=1).max() <= cb.half_width * (1 + 1e-9)
 
 
 def test_codebook_nonadequate_variant():

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beamalign import EstimatorSpec, ExperimentConfig, cli
-from beamalign.cli import ConfigError, bundled_config, load_config, main
+from beamalign.cli import bundled_config, load_config, main
 
 TINY_CFG = """
 [experiment]
@@ -52,14 +52,14 @@ def test_load_config_defaults_and_values(tiny_config):
 def test_load_config_rejects_unknown_key(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[experiment]\nn_total = 16\n")
-    with pytest.raises(ConfigError, match="n_total"):
+    with pytest.raises(ValueError, match="n_total"):
         load_config(path)
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("[beams]\nk = 2\n")
-    with pytest.raises(ConfigError, match="beams"):
+    with pytest.raises(ValueError, match="beams"):
         load_config(path)
 
 
@@ -120,7 +120,7 @@ def test_load_config_round_trips_every_field(tmp_path):
     # the channel keys, under either name, belong to [channel] only
     for key in ("kind", "channel_kind", "k_factor_db", "num_paths", "nlos_normalized"):
         path.write_text(f"[experiment]\n{key} = 1\n")
-        with pytest.raises(ConfigError, match=f"unknown key '{key}' in \\[experiment\\]"):
+        with pytest.raises(ValueError, match=f"unknown key '{key}' in \\[experiment\\]"):
             load_config(path)
 
 
@@ -162,15 +162,26 @@ SMALL_RUN = "[experiment]\n"
     ("aod_prior_deg = 0, 1e-181\n[estimators]\ngob_abp = 2\n", "gob_abp"),  # sin(half)**2 underflows
     # one ulp wide: adjacent boresights round to one value, a pair half width of 0
     ("aod_prior_deg = 30, 30.000000000000004\n[estimators]\ngob_abp = 16\n", "gob_abp"),
+    # delta_scale * k * pi / N is not positive and finite for the non-adequate entry
+    ("nonadequate_k = 0\n[estimators]\ntwo_stage_nonadequate = 7\n", "nonadequate_k"),
+    ("nonadequate_k = -1\n[estimators]\ntwo_stage_nonadequate = 7\n", "nonadequate_k"),
+    ("nonadequate_k = nan\n[estimators]\ntwo_stage_nonadequate = 7\n", "nonadequate_k"),
+    ("nonadequate_k = inf\n[estimators]\ntwo_stage_nonadequate = 7\n", "nonadequate_k"),
+    ("snr_grid_db = 0, 0\n", "snr_grid_db"),
+    ("aod_prior_deg = 10, -10\n", "aod_prior_deg"),
+    ("aoa_prior_deg = -95, 10\n", "aoa_prior_deg"),
+    ("[estimators]\n", "estimators"),
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
         "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32",
         "k_factor-overflow", "snr-overflow", "k_factor-inf", "snr-sounding-overflow",
-        "aod-prior-zero-width", "gob_abp-half-width-underflow", "gob_abp-one-ulp-prior"])
+        "aod-prior-zero-width", "gob_abp-half-width-underflow", "gob_abp-one-ulp-prior",
+        "nonadequate_k-zero", "nonadequate_k-negative", "nonadequate_k-nan", "nonadequate_k-inf",
+        "snr-grid-repeated", "aod-prior-reversed", "aoa-prior-beyond-90", "no-estimators"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)
-    with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
         load_config(path)
     out = tmp_path / "x.csv"
     with caplog.at_level(logging.ERROR):
@@ -339,7 +350,10 @@ def test_codebook_synthesis_failure_exits_3(tmp_path):
     (["codebook", "--k", "0"], "k = 0"),
     (["codebook", "--delta-scale", "inf", "--allow-nonadequate"], "delta_scale = inf"),
     (["codebook", "--delta-scale", "nan"], "delta_scale = nan"),
-    (["pattern", "--delta-scale", "inf", "--allow-nonadequate"], "delta must be positive and finite"),
+    (["pattern", "--delta-scale", "inf", "--allow-nonadequate"], "--delta-scale: half width"),
+    (["pattern", "--delta-scale", "0"], "--delta-scale: half width"),
+    (["pattern", "--n-tot", "0"], "--n-tot must be >= 1, got 0"),
+    (["codebook", "--n-tot", "0"], "--n-tot must be >= 1, got 0"),
     (["pattern", "--boresight-deg", "nan"], "angle outside [-90, 90] degrees: nan"),
     (["codebook", "--span-lo-deg", "nan"], "angle outside [-90, 90] degrees: nan"),
     (["codebook", "--delta-scale", "1e-300", "--allow-nonadequate"], "delta_scale = 1e-300"),
@@ -349,7 +363,8 @@ def test_codebook_synthesis_failure_exits_3(tmp_path):
     (["codebook", "--span-lo-deg", "0", "--span-hi-deg", "-1", "--k", "3", "--delta-scale", "5e-324"],
      "empty span"),
 ], ids=["codebook-delta-scale-0", "codebook-k0", "codebook-delta-scale-inf", "codebook-delta-scale-nan",
-        "pattern-delta-scale-inf", "pattern-boresight-nan", "codebook-span-nan",
+        "pattern-delta-scale-inf", "pattern-delta-scale-0", "pattern-n-tot-0", "codebook-n-tot-0",
+        "pattern-boresight-nan", "codebook-span-nan",
         "codebook-1e-300-beams", "codebook-123-beams", "codebook-99-beams", "codebook-subnormal-delta",
         "codebook-reversed-span"])
 def test_bad_half_width_or_angle_exits_2(tmp_path, caplog, args, named):

@@ -28,6 +28,13 @@ from beamalign.channel import ChannelRealization
 from beamalign.cli import bundled_config, load_config
 from beamalign.montecarlo import _TRIAL_BLOCK, _block_errors, _run_block, _stream, _workspace
 
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))  # the benchmark's modules import their siblings by name
+import checks as bench_checks  # noqa: E402
+import run as bench_run  # noqa: E402
+
+sys.path.pop(0)
+
 
 def small_config(**overrides):
     base = dict(
@@ -64,6 +71,10 @@ def test_config_validation():
         small_config(estimators=())
     with pytest.raises(ValueError):
         small_config(master_seed=-1)
+    # half width pi/3 leaves no out-of-band sample at N=3, which only a synthesized widebeam needs
+    with pytest.raises(ValueError, match="two_stage = 3: half width"):
+        small_config(n_tot=3, n_rf=3, estimators=(EstimatorSpec("two_stage", 3),))
+    assert small_config(n_tot=3, n_rf=1, estimators=(EstimatorSpec("two_stage", 3),)).n_rf == 1
     # the bound earlier releases accepted; spawn keys name blocks, so the seeding itself needs none
     assert small_config(trials=2 ** 32).trials == 2 ** 32
     with pytest.raises(ValueError, match="trials"):
@@ -232,7 +243,7 @@ def test_trial_sounds_each_draw_once(monkeypatch):
 def test_benchmark_tracer_wraps_every_span_target():
     """perfbench's tracer finds and rebinds every library name it times, or a traced run stops."""
     code = 'import sys; sys.path.insert(0, "perfbench"); from spans import Tracer; Tracer().install()'
-    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
                           env={**os.environ, "PYTHONPATH": "src"}, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
@@ -245,30 +256,51 @@ def test_traced_sweep_meets_benchmark_predicates(fig, workload, tmp_path):
     2 trials x 2 SNR points, and checks the traced run's own failure
     predicates; the per-draw count keeps the matched row to one matrix() per draw.
     """
-    root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": "src"}
     env.pop("BEAMALIGN_LOG", None)
-    code = 'import json, sys; sys.path.insert(0, "perfbench"); import run; print(json.dumps(run.PREDICTED))'
-    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    predicted = json.loads(proc.stdout)[workload]
-
-    config_text = (root / "src" / "beamalign" / "configs" / f"{fig}.cfg").read_text()
+    config_text = (ROOT / "src" / "beamalign" / "configs" / f"{fig}.cfg").read_text()
     config_path = tmp_path / "input.cfg"
     config_path.write_text(config_text.replace("trials = 10000", "trials = 2\nsnr_grid_db = 0, 20"))
     job = {"mode": "sweep", "config": str(config_path), "trace": True, "workers": 1,
            "out": str(tmp_path / "out.csv"), "result": str(tmp_path / "result.json")}
     (tmp_path / "job.json").write_text(json.dumps(job))
-    proc = subprocess.run([sys.executable, "perfbench/child.py", str(tmp_path / "job.json")], cwd=root,
+    proc = subprocess.run([sys.executable, "perfbench/child.py", str(tmp_path / "job.json")], cwd=ROOT,
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     res = json.loads((tmp_path / "result.json").read_text())
     spans = res["spans"]
-    calls = {name: spans.get(name, {}).get("calls", 0) for name in predicted}
+    calls = {name: spans.get(name, {}).get("calls", 0) for name in bench_run.PREDICTED[workload]}
     assert all(calls.values()), f"no calls to {[n for n, c in calls.items() if not c]}"
     assert res["cells"] == 2 * 2 * 5
     assert sum(spans[f"estimators.{k}"]["calls"] for k in ("two_stage", "gob", "gob_abp")) == res["cells"]
     assert spans["channel.matrix"]["calls"] == spans["channel.draw"]["calls"] == 2 * 2
+
+
+@pytest.mark.parametrize("codebook", bench_run.CODEBOOKS, ids=lambda cb: "N{}-n_rf{}-J{}-k{}-x{}".format(*cb))
+def test_synth_cold_job_matches_reference(codebook, tmp_path):
+    """A synth-cold benchmark job, untraced and traced, writes the reference codebook.
+
+    Runs perfbench/child.py in codebook mode as the benchmark does, on the
+    span (-50, 50), and checks its output against perfbench/reference; the
+    traced run also calls every span the harness predicts for synth-cold.
+    """
+    n, n_rf, num_beams, k, scale = codebook
+    spec = dict(mode="codebook", n_tot=n, n_rf=n_rf, num_beams=num_beams, k=k, delta_scale=scale,
+                span_deg=[-50.0, 50.0])
+    refs = json.loads((ROOT / "perfbench" / "reference" / "codebooks.json").read_text())
+    ref = next(r for r in refs if bench_run._codebook_key(r) == bench_run._codebook_key(spec))
+    env = {**os.environ, "PYTHONPATH": "src", **bench_run.BLAS_ENV}
+    env.pop("BEAMALIGN_LOG", None)
+    for trace in (False, True):
+        job = dict(spec, trace=trace, out=str(tmp_path / f"{trace}.csv"), result=str(tmp_path / f"{trace}.json"))
+        (tmp_path / "job.json").write_text(json.dumps(job))
+        proc = subprocess.run([sys.executable, "perfbench/child.py", str(tmp_path / "job.json")], cwd=ROOT,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        dump = Path(job["out"] + ".json").read_text()
+        assert bench_checks.check_codebook(Path(job["out"]).read_text(), dump, job, ref) == []
+    spans = json.loads((tmp_path / "True.json").read_text())["spans"]
+    assert all(spans.get(name, {}).get("calls") for name in bench_run.PREDICTED["synth-cold"]), spans
 
 
 # sha256 of write_results_csv at 20 trials x 3 SNR points, workers 1, recorded
