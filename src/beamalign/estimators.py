@@ -153,7 +153,7 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     j = codebook.num_beams
     stage1, stage2 = (None, None) if noise is None else (noise[:j], noise[j:])
     chi1 = np.abs(_sound(channel, codebook.matrix, snr, stage1)) ** 2
-    j_max = int(np.argmax(chi1))
+    j_max = int(chi1.argmax())
     gamma = float(codebook.boresights[j_max])
     chi2 = np.abs(_sound(channel, codebook.pairs[j_max], snr, stage2)) ** 2
     zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma, chi1[j_max])
@@ -163,7 +163,7 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
 def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,
                  snr: float, noise) -> EstimationReport:
     """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
-    best = int(np.argmax(np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2))
+    best = int((np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2).argmax())
     return _report(float(codebook.boresights[best]), codebook.geometry, best)
 
 
@@ -177,7 +177,7 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     powers, so the budget equals the codebook size.
     """
     chi = np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2
-    best = int(np.argmax(chi))
+    best = int(chi.argmax())
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:
         return _report(float(codebook.boresights[best]), codebook.geometry, best)

@@ -4,16 +4,20 @@ Seeding contract v2 (`SEEDING_CONTRACT`): trials come in fixed blocks of
 `_TRIAL_BLOCK`, and each (domain, SNR index, block) owns one stream,
 `_stream(master_seed, domain, snr_index, block_index)`. Domain 0 is the
 channel draw shared by every estimator (common random numbers) and domain
-e + 1 is the sounding noise of estimator entry e. Each block draws full
-`_TRIAL_BLOCK`-row arrays in a fixed order and runs its first rows (fewer in
-the last block), trial t being row t % _TRIAL_BLOCK of block t // _TRIAL_BLOCK.
-So a trial's draws depend on neither `trials` nor the worker count, and
-results are bit-identical for any execution order:
+e + 1 is the sounding noise of estimator entry e. A block runs its first
+`count` rows (all `_TRIAL_BLOCK` but in the last block), trial t being row
+t % _TRIAL_BLOCK of block t // _TRIAL_BLOCK, drawn in a fixed order:
 
 - channel: AoDs, then AoAs, then CN(0, 1) gains, each (_TRIAL_BLOCK, P), with
-  P = num_paths for Rician channels and 1 for single-path ones;
-- estimator entry e: CN(0, 1) noise, (_TRIAL_BLOCK, soundings), one combined
-  sample per sounding (see `estimators`).
+  P = num_paths for Rician channels and 1 for single-path ones. The full
+  arrays are drawn, since the AoAs start where all the block's AoDs end;
+- estimator entry e: CN(0, 1) noise, (count, soundings), one combined sample
+  per sounding (see `estimators`). This is the stream's only draw, filled
+  row by row, so its first `count` rows are the bytes a full-block draw
+  would start with.
+
+So a trial's draws depend on neither `trials` nor the worker count, and
+results are bit-identical for any execution order.
 """
 
 import csv
@@ -43,6 +47,9 @@ CHANNEL_KINDS = ("single_path", "rician")
 SEEDING_CONTRACT = 2  # stamped in config_digest and the CSV header; bump when any draw changes
 _TRIAL_BLOCK = 500
 _MAX_TRIALS = 2 ** 32  # the bound earlier releases accepted; the v2 spawn keys do not need it
+# bound on every [estimators] count: a codebook holds N x count weights and a
+# block's noise draw 500 x soundings samples (about 33 MB at this bound)
+_MAX_BEAMS = 4096
 # bound on snr * N * M, about the matched sounding power over |g|**2: eight
 # decades below float overflow, for the gain draw
 _MAX_SOUNDING_POWER = 1e300
@@ -117,6 +124,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown channel kind {self.channel_kind!r}; expected one of {CHANNEL_KINDS}")
         if not self.estimators:
             raise ValueError("estimators: at least one estimator entry is required")
+        for spec in self.estimators:
+            if spec.beams > _MAX_BEAMS:
+                raise ValueError(f"{spec.kind}: beams must be <= {_MAX_BEAMS}, the bound on an N x beams "
+                                 f"codebook and a block's {_TRIAL_BLOCK} x soundings noise draw")
         for key, prior in (("aod_prior_deg", self.aod_prior_deg), ("aoa_prior_deg", self.aoa_prior_deg)):
             if not (-90.0 <= prior[0] < prior[1] <= 90.0):
                 raise ValueError(f"{key} {prior} must be an increasing interval within [-90, 90]")
@@ -221,9 +232,10 @@ def _cn(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
 def _block_errors(ws, config, snr_index, block, count):
     """Absolute angle errors in degrees for the first `count` trials of one block, shape (count, E).
 
-    The block's streams draw their full arrays either way. Estimator failures
-    surface through the built-in fallbacks (center estimate), never as a
-    dropped trial.
+    The channel stream draws full `_TRIAL_BLOCK`-row arrays and each noise
+    stream only its first `count` rows (see the module docstring). Estimator
+    failures surface through the built-in fallbacks (center estimate), never
+    as a dropped trial.
     """
     rows = slice(count)
     rician = config.channel_kind == "rician"
@@ -232,7 +244,7 @@ def _block_errors(ws, config, snr_index, block, count):
     aods = channel_rng.uniform(*config.aod_prior_deg, shape)[rows].tolist()
     aoas = channel_rng.uniform(*config.aoa_prior_deg, shape)[rows].tolist()
     gains = _cn(channel_rng, *shape)[rows].tolist()
-    noise = [_cn(_stream(config.master_seed, ei + 1, snr_index, block), _TRIAL_BLOCK, spec.soundings)[rows]
+    noise = [_cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings)
              for ei, spec in enumerate(config.estimators)]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
     out = np.empty((count, len(config.estimators)))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from beamalign import EstimatorSpec, ExperimentConfig, cli
 from beamalign.cli import bundled_config, load_config, main
+from beamalign.montecarlo import _MAX_BEAMS
 
 TINY_CFG = """
 [experiment]
@@ -171,13 +172,19 @@ SMALL_RUN = "[experiment]\n"
     ("aod_prior_deg = 10, -10\n", "aod_prior_deg"),
     ("aoa_prior_deg = -95, 10\n", "aoa_prior_deg"),
     ("[estimators]\n", "estimators"),
+    # estimator counts above the one bound, rejected before any codebook or noise draw is sized
+    ("[estimators]\ntwo_stage = 1" + "0" * 400 + "\n", "two_stage"),  # too large for a float
+    ("[estimators]\ngob = 1" + "0" * 30 + "\n", "gob"),
+    ("[estimators]\ngob_abp = 1" + "0" * 30 + "\n", "gob_abp"),
+    (f"[estimators]\ngob = {_MAX_BEAMS + 1}\n", "gob"),
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
         "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32",
         "k_factor-overflow", "snr-overflow", "k_factor-inf", "snr-sounding-overflow",
         "aod-prior-zero-width", "gob_abp-half-width-underflow", "gob_abp-one-ulp-prior",
         "nonadequate_k-zero", "nonadequate_k-negative", "nonadequate_k-nan", "nonadequate_k-inf",
-        "snr-grid-repeated", "aod-prior-reversed", "aoa-prior-beyond-90", "no-estimators"])
+        "snr-grid-repeated", "aod-prior-reversed", "aoa-prior-beyond-90", "no-estimators",
+        "two_stage-beyond-float", "gob-1e30", "gob_abp-1e30", "gob-above-bound"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)

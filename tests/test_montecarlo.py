@@ -79,6 +79,10 @@ def test_config_validation():
     assert small_config(trials=2 ** 32).trials == 2 ** 32
     with pytest.raises(ValueError, match="trials"):
         small_config(trials=2 ** 32 + 1)
+    # one bound on every estimator count, checked before any codebook is built
+    assert small_config(estimators=(EstimatorSpec("gob", montecarlo._MAX_BEAMS),)).estimators
+    with pytest.raises(ValueError, match=r"gob_abp: beams must be <= \d+"):
+        small_config(estimators=(EstimatorSpec("gob_abp", montecarlo._MAX_BEAMS + 1),))
 
 
 def test_run_trial_is_deterministic():
@@ -339,6 +343,22 @@ def test_block_builds_one_seed_sequence(monkeypatch):
     assert (si, block, rows.shape) == (4, 0, (100, 5))
 
 
+def test_block_draws_noise_only_for_the_trials_it_runs(monkeypatch):
+    """A 50-trial block asks each entry's noise stream for 50 rows; the channel keeps its full block."""
+    cfg = dataclasses.replace(load_config(bundled_config("fig5.cfg")), trials=50)
+    ws = _workspace(cfg)
+    rows = []
+    original = montecarlo._cn
+
+    def recorded(rng, n_rows, cols):
+        rows.append(n_rows)
+        return original(rng, n_rows, cols)
+
+    monkeypatch.setattr(montecarlo, "_cn", recorded)
+    _block_errors(ws, cfg, 4, 0, 50)
+    assert rows == [_TRIAL_BLOCK] + [50] * len(cfg.estimators)
+
+
 @pytest.mark.parametrize("t", [500, 507, 999])
 def test_trial_draws_do_not_depend_on_trials(t, monkeypatch):
     """Trial t's errors are the same whether the sweep runs t + 1 trials or 10000."""
@@ -456,6 +476,19 @@ def test_accepted_config_runs_cleanly(cfg):
         warnings.simplefilter("error", RuntimeWarning)
         for si in range(len(cfg.snr_grid_db)):
             assert np.isfinite(_block_errors(ws, cfg, si, 0, 1)).all()
+
+
+@settings(max_examples=25, deadline=None)
+@given(cfg=accepted_configs(), count=st.integers(1, _TRIAL_BLOCK - 1), data=st.data())
+def test_short_block_is_a_prefix_of_the_full_block(cfg, count, data):
+    """A block run for `count` trials gives the first `count` rows of the full block, byte for byte."""
+    try:
+        ws = montecarlo._Workspace(cfg)
+    except SynthesisError:
+        return
+    si = data.draw(st.integers(0, len(cfg.snr_grid_db) - 1), label="snr_index")
+    full = _block_errors(ws, cfg, si, 0, _TRIAL_BLOCK)
+    assert _block_errors(ws, cfg, si, 0, count).tobytes() == full[:count].tobytes()
 
 
 def test_run_sweep_error_decreases_with_snr():
