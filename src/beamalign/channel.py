@@ -6,6 +6,22 @@ folded into the gains; nothing here consumes randomness. The channel matrix
 is materialized on demand as the sum of rank-1 outer products
 g_i a_r(psi_i) a_t(mu_i)^H. The matched receive row rx^H H, which every
 estimator sounds through, is formed once per realization.
+
+The path responses are computed once per side per realization, as one
+row-stacked array (`_responses`), and the combiner rx is receive row 0.
+Every entry is byte for byte what `arrays.steering` gives for that path,
+and `matrix()` byte for byte the per-path sum
+`h = zeros; h += g_i * np.outer(a_r_i, a_t_i.conj())`, because:
+
+- the spatial frequencies come from the scalar `angle_to_spatial`, and the
+  stack is `exp(sf[:, None] * ramp)`, then divided in place by sqrt(N);
+- each term is `g_i * (a_r_i[:, None] * a_t_conj_i)` with the gain on the
+  left (complex `o * g` and `g * o` differ in the last bit), added in path
+  order to a zero matrix;
+- the rows are C-contiguous (P, N) and (P, M) arrays. An (M, N, P) build
+  summed over its last axis differs in the last bit on many draws.
+
+tests/test_channel.py checks this against the per-path formula.
 """
 
 import cmath
@@ -15,7 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import ArrayGeometry, angle_to_spatial, steering
+from .arrays import ArrayGeometry, angle_to_spatial
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,13 +63,17 @@ class ChannelRealization:
         """Ground-truth departure angle of the dominant (LOS) path."""
         return self.aods_deg[0]
 
+    @cached_property
+    def _path_responses(self) -> tuple:
+        """(a_r rows, conjugated a_t rows): row i is path i's receive / transmit response."""
+        return _responses(self.aoas_deg, self.geometry_rx), _responses(self.aods_deg, self.geometry_tx).conj()
+
     def matrix(self) -> np.ndarray:
         """Materialize H = sum_i g_i a_r(psi_i) a_t(mu_i)^H."""
+        rx_rows, tx_conj_rows = self._path_responses
         h = np.zeros((self.geometry_rx.num_elements, self.geometry_tx.num_elements), dtype=complex)
-        for aod, aoa, g in zip(self.aods_deg, self.aoas_deg, self.gains):
-            a_r = steering(angle_to_spatial(aoa, self.geometry_rx), self.geometry_rx)
-            a_t = steering(angle_to_spatial(aod, self.geometry_tx), self.geometry_tx)
-            h += g * np.outer(a_r, a_t.conj())
+        for g, a_r, a_t_conj in zip(self.gains, rx_rows, tx_conj_rows):
+            h += g * (a_r[:, None] * a_t_conj)
         return h
 
     @cached_property
@@ -62,10 +82,20 @@ class ChannelRealization:
 
         Every transmit beam f is seen through this row.
         """
-        rx = steering(angle_to_spatial(self.aoas_deg[0], self.geometry_rx), self.geometry_rx)
-        row = rx.conj() @ self.matrix()
+        h = self.matrix()  # first, so the path responses are built (and timed) inside matrix()
+        row = self._path_responses[0][0].conj() @ h
         row.flags.writeable = False
         return row
+
+
+def _responses(angles_deg, geom: ArrayGeometry) -> np.ndarray:
+    """Unit-norm array responses stacked by row, shape (len(angles_deg), N); row i is
+    byte for byte `steering(angle_to_spatial(angles_deg[i], geom), geom)`."""
+    ramp, norm = geom._steering_constants
+    sf = np.array([angle_to_spatial(a, geom) for a in angles_deg])
+    rows = np.exp(sf[:, None] * ramp)
+    rows /= norm
+    return rows
 
 
 def make_single_path(aod_deg: float, aoa_deg: float, g: complex,

@@ -14,10 +14,22 @@ shared null of both pair beams (an even-k boresight): its ratio is 0.
 A report holds only what inference computed: the estimate in degrees, the
 stage-1 selection and the pair ratio. The sounding budget is the estimator
 entry's (`EstimatorSpec.soundings`), not the report's.
+
+Inference after the sweep's argmax runs on Python floats: the pair powers,
+the ratio and its inversion. Each step is the IEEE operation the numpy
+scalar formula performs, so every estimate is byte for byte the same:
+`math.sqrt` is correctly rounded like `np.sqrt`, and (sin, cos) of a half
+width are computed with numpy once per half width and cached. `np.arcsin`
+and `np.degrees` stay numpy, as `math.asin` differs from `np.arcsin` in the
+last bit on some hosts (see `arrays`). tests/test_estimators.py checks the
+float path against the numpy-scalar formulas.
 """
 
-import numpy as np
+import math
 from dataclasses import dataclass
+from functools import lru_cache
+
+import numpy as np
 
 from .arrays import spatial_to_angle
 from .beams import SteeringCodebook, WidebeamCodebook, is_adequate
@@ -49,13 +61,21 @@ def _sound(channel: ChannelRealization, beams: np.ndarray, snr: float, noise) ->
     rx^H n of each sounding, one CN(0, 1) sample per column; None models
     noiseless sounding.
     """
-    y = np.sqrt(snr) * (channel.matched_row @ beams)
+    y = math.sqrt(snr) * (channel.matched_row @ beams)
     if noise is None:
         return y
     if np.shape(noise) != y.shape:
         raise ValueError(f"need one noise sample per sounding: {y.shape[0]} soundings, "
                          f"noise of shape {np.shape(noise)}")
-    return y + noise
+    y += noise
+    return y
+
+
+def _powers(channel: ChannelRealization, beams: np.ndarray, snr: float, noise) -> np.ndarray:
+    """Received powers |y|**2 of `_sound`, one per column of `beams`."""
+    chi = np.abs(_sound(channel, beams, snr, noise))
+    chi *= chi
+    return chi
 
 
 def ratio_metric(chi_minus: float, chi_plus: float) -> float:
@@ -80,17 +100,24 @@ def invert_ratio(zeta: float, delta: float, center: float) -> float:
     The saturated ratios z = -+1 reduce analytically to the pair edges
     center +- delta and are returned directly, exact to the last bit.
     """
-    if not 0 < delta < np.pi / 2:
+    if not 0 < delta < math.pi / 2:
         raise ValueError(f"delta must be in (0, pi/2), got {delta}")
     z = min(max(float(zeta), -1.0), 1.0)
     if z == -1.0:
         return center + delta
     if z == 1.0:
         return center - delta
-    sd, cd = np.sin(delta), np.cos(delta)
-    num = z * sd - z * np.sqrt(1.0 - z * z) * sd * cd
+    sd, cd = _sin_cos(delta)
+    num = z * sd - z * math.sqrt(1.0 - z * z) * sd * cd
     den = sd * sd + z * z * cd * cd
-    return center - float(np.arcsin(num / den))
+    # numpy's division: where sin(delta)**2 and z**2 both underflow, 0/0 is nan, not ZeroDivisionError
+    return center - float(np.arcsin(np.float64(num) / den))
+
+
+@lru_cache(maxsize=1024)
+def _sin_cos(delta: float) -> tuple:
+    """(sin, cos) of a pair half width as floats, from numpy's ufuncs; a sweep uses a few half widths."""
+    return float(np.sin(delta)), float(np.cos(delta))
 
 
 def closed_form_powers(mu: float, center: float, delta: float, num_elements: int,
@@ -152,18 +179,18 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     """
     j = codebook.num_beams
     stage1, stage2 = (None, None) if noise is None else (noise[:j], noise[j:])
-    chi1 = np.abs(_sound(channel, codebook.matrix, snr, stage1)) ** 2
+    chi1 = _powers(channel, codebook.matrix, snr, stage1)
     j_max = int(chi1.argmax())
     gamma = float(codebook.boresights[j_max])
-    chi2 = np.abs(_sound(channel, codebook.pairs[j_max], snr, stage2)) ** 2
-    zeta, mu_hat = _refine(chi2[0], chi2[1], codebook.half_width, gamma, chi1[j_max])
+    chi_minus, chi_plus = _powers(channel, codebook.pairs[j_max], snr, stage2).tolist()
+    zeta, mu_hat = _refine(chi_minus, chi_plus, codebook.half_width, gamma, float(chi1[j_max]))
     return _report(mu_hat, codebook.geometry, j_max, zeta)
 
 
 def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,
                  snr: float, noise) -> EstimationReport:
     """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
-    best = int((np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2).argmax())
+    best = int(_powers(channel, codebook.matrix, snr, noise).argmax())
     return _report(float(codebook.boresights[best]), codebook.geometry, best)
 
 
@@ -176,7 +203,7 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     center and half width (`SteeringCodebook.pair_geometry`). Reuses the sweep
     powers, so the budget equals the codebook size.
     """
-    chi = np.abs(_sound(channel, codebook.matrix, snr, noise)) ** 2
+    chi = _powers(channel, codebook.matrix, snr, noise)
     best = int(chi.argmax())
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:
@@ -184,5 +211,5 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     other = max(neighbors, key=lambda i: chi[i])
     lo = min(best, other)
     center, half = codebook.pair_geometry[lo]
-    zeta, mu_hat = _refine(float(chi[lo]), float(chi[lo + 1]), half, center, chi[best])
+    zeta, mu_hat = _refine(float(chi[lo]), float(chi[lo + 1]), half, center, float(chi[best]))
     return _report(mu_hat, codebook.geometry, best, zeta)

@@ -46,7 +46,8 @@ ESTIMATOR_KINDS = tuple(_ESTIMATE)
 CHANNEL_KINDS = ("single_path", "rician")
 SEEDING_CONTRACT = 2  # stamped in config_digest and the CSV header; bump when any draw changes
 _TRIAL_BLOCK = 500
-_MAX_TRIALS = 2 ** 32  # the bound earlier releases accepted; the v2 spawn keys do not need it
+# bound on run_sweep's (SNR points x trials x entries) float64 error array: 2 GiB
+_MAX_ERROR_VALUES = 2 ** 28
 # bound on every [estimators] count: a codebook holds N x count weights and a
 # block's noise draw 500 x soundings samples (about 33 MB at this bound)
 _MAX_BEAMS = 4096
@@ -117,8 +118,13 @@ class ExperimentConfig:
         for key in ("tx_spacing", "rx_spacing"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        if not 1 <= self.trials <= _MAX_TRIALS:
-            raise ValueError(f"trials must be in [1, 2**32], got {self.trials}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        values = len(self.snr_grid_db) * self.trials * len(self.estimators)
+        if values > _MAX_ERROR_VALUES:
+            raise ValueError(f"trials = {self.trials} with {len(self.snr_grid_db)} SNR points and "
+                             f"{len(self.estimators)} estimator entries needs {values} per-trial errors, "
+                             f"above the 2**28 (2 GiB of float64) that run_sweep may hold")
         check_n_rf(self.n_rf)
         if self.channel_kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel_kind!r}; expected one of {CHANNEL_KINDS}")
@@ -244,20 +250,21 @@ def _block_errors(ws, config, snr_index, block, count):
     aods = channel_rng.uniform(*config.aod_prior_deg, shape)[rows].tolist()
     aoas = channel_rng.uniform(*config.aoa_prior_deg, shape)[rows].tolist()
     gains = _cn(channel_rng, *shape)[rows].tolist()
-    noise = [_cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings)
-             for ei, spec in enumerate(config.estimators)]
+    entries = [(_ESTIMATE[spec.kind], codebook,
+                _cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings))
+               for ei, (spec, codebook) in enumerate(zip(config.estimators, ws.codebooks))]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    out = np.empty((count, len(config.estimators)))
+    errors = []
     for t, (aod, aoa, gain) in enumerate(zip(aods, aoas, gains)):
         if rician:
             channel = make_rician(config.k_factor_db, aod, aoa, gain, ws.geometry_tx, ws.geometry_rx,
                                   nlos_normalized=config.nlos_normalized)
         else:
             channel = make_single_path(aod[0], aoa[0], gain[0], ws.geometry_tx, ws.geometry_rx)
-        for ei, spec in enumerate(config.estimators):
-            report = _ESTIMATE[spec.kind](channel, ws.codebooks[ei], snr, noise[ei][t])
-            out[t, ei] = abs(channel.aod_deg - report.estimate_deg)
-    return out
+        truth = channel.aod_deg
+        errors.append([abs(truth - estimate(channel, codebook, snr, noise[t]).estimate_deg)
+                       for estimate, codebook, noise in entries])
+    return np.array(errors, dtype=float)
 
 
 def _run_block(args):

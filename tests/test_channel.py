@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from beamalign import ArrayGeometry, make_rician, make_single_path
+from beamalign import ArrayGeometry, angle_to_spatial, make_rician, make_single_path, steering
+from beamalign.channel import ChannelRealization
 
 TX4 = ArrayGeometry(4)
 RX2 = ArrayGeometry(2)
@@ -94,6 +97,36 @@ def test_matrix_equals_independent_path_sum():
         w = np.sqrt(k / (1 + k)) if i == 0 else np.sqrt(1 / (1 + k))
         ref += path_matrix(aods[i], aoas[i], w * gains[i] * np.sqrt(8 * 4), TX8, RX4)
     assert np.max(np.abs(ch.matrix() - ref)) < 1e-12
+
+
+def per_path_build(ch):
+    """(H, rx^H H) from one `steering` call per path and side, summed path by path."""
+    tx, rx = ch.geometry_tx, ch.geometry_rx
+    h = np.zeros((rx.num_elements, tx.num_elements), dtype=complex)
+    for aod, aoa, g in zip(ch.aods_deg, ch.aoas_deg, ch.gains):
+        a_r = steering(angle_to_spatial(aoa, rx), rx)
+        a_t = steering(angle_to_spatial(aod, tx), tx)
+        h += g * np.outer(a_r, a_t.conj())
+    rx_combiner = steering(angle_to_spatial(ch.aoas_deg[0], rx), rx)
+    return h, rx_combiner.conj() @ h
+
+
+ANGLES = st.floats(-90.0, 90.0)
+CN_GAINS = st.builds(lambda re, im: complex(re, im) / np.sqrt(2.0),
+                     st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(paths=st.lists(st.tuples(ANGLES, ANGLES, CN_GAINS), min_size=1, max_size=6),
+       n=st.integers(1, 40), m=st.integers(1, 12),
+       tx_spacing=st.floats(0.05, 1.0), rx_spacing=st.floats(0.05, 1.0))
+def test_stacked_build_is_the_per_path_build_byte_for_byte(paths, n, m, tx_spacing, rx_spacing):
+    """matrix() and matched_row from the per-side response stacks equal the per-path sum to the bit."""
+    aods, aoas, gains = zip(*paths)
+    ch = ChannelRealization(aods, aoas, gains, ArrayGeometry(n, tx_spacing), ArrayGeometry(m, rx_spacing))
+    h, row = per_path_build(ch)
+    assert ch.matrix().tobytes() == h.tobytes()
+    assert ch.matched_row.tobytes() == row.tobytes()
 
 
 def test_single_path_is_rician_special_case():

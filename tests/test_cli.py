@@ -152,7 +152,9 @@ SMALL_RUN = "[experiment]\n"
     ("n_tot = 3\n[estimators]\ntwo_stage = 3\n", "two_stage"),  # pi/3: no out-of-band sample at N=3
     ("n_rf = 4\n", "n_rf"),  # widebeam offsets come in pairs: n_rf must be odd
     ("n_rf = 0\n[estimators]\ngob = 16\n", "n_rf"),  # rejected even with no widebeam to synthesize
-    ("trials = 4294967297\n", "trials"),  # above the 2**32 bound earlier releases accepted
+    ("trials = 4294967297\n", "trials"),  # far above the bound below
+    # 2 SNR points x 2**32 trials x 1 entry is a 64 GiB errors array: over the 2**28-value bound
+    ("trials = 4294967296\nsnr_grid_db = 0, 20\n[estimators]\ngob = 16\n", "trials"),
     # 10 ** (x / 10) overflows, or the value is not a number of dB at all
     ("trials = 3\n[channel]\nkind = rician\nk_factor_db = 4000\n", "k_factor_db"),
     ("trials = 3\nsnr_grid_db = 0, 4000\n", "snr_grid_db"),
@@ -179,7 +181,7 @@ SMALL_RUN = "[experiment]\n"
     (f"[estimators]\ngob = {_MAX_BEAMS + 1}\n", "gob"),
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
-        "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32",
+        "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32", "trials-errors-beyond-2GiB",
         "k_factor-overflow", "snr-overflow", "k_factor-inf", "snr-sounding-overflow",
         "aod-prior-zero-width", "gob_abp-half-width-underflow", "gob_abp-one-ulp-prior",
         "nonadequate_k-zero", "nonadequate_k-negative", "nonadequate_k-nan", "nonadequate_k-inf",

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from beamalign import (
@@ -20,7 +20,7 @@ from beamalign import (
     steering,
     steering_matrix,
 )
-from beamalign.estimators import _sound
+from beamalign.estimators import PAIR_NULL_FRACTION, POWER_FLOOR, _refine, _sound
 from beamalign.montecarlo import _cn
 
 TX16 = ArrayGeometry(16)
@@ -155,6 +155,65 @@ def test_invert_ratio_round_trips_steering_powers(pair):
 def test_invert_ratio_clamps_out_of_range_zeta():
     delta = 2 * np.pi / 16
     assert invert_ratio(-1.2, delta, 0.0) == invert_ratio(-1.0, delta, 0.0)
+
+
+def numpy_scalar_invert(zeta, delta, center):
+    """invert_ratio's formula on np.float64 scalars, with np.sin, np.cos and np.sqrt."""
+    z = min(max(float(zeta), -1.0), 1.0)
+    if z == -1.0:
+        return center + delta
+    if z == 1.0:
+        return center - delta
+    sd, cd = np.sin(np.float64(delta)), np.cos(np.float64(delta))
+    num = z * sd - z * np.sqrt(1.0 - z * z) * sd * cd
+    den = sd * sd + z * z * cd * cd
+    return center - float(np.arcsin(num / den))
+
+
+def numpy_scalar_refine(chi_minus, chi_plus, delta, center, peak):
+    """_refine on np.float64 powers: ratio_metric's clamped difference over sum, or 0 at a null or the floor."""
+    chi_minus, chi_plus, peak = np.float64(chi_minus), np.float64(chi_plus), np.float64(peak)
+    total = chi_minus + chi_plus
+    if total > PAIR_NULL_FRACTION * peak and total >= POWER_FLOOR:
+        zeta = float(min(max((chi_minus - chi_plus) / total, -1.0), 1.0))
+    else:
+        zeta = 0.0
+    return zeta, numpy_scalar_invert(zeta, delta, center)
+
+
+def as_bytes(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+HALF_WIDTHS = st.floats(0.0, np.pi / 2, exclude_min=True, exclude_max=True)
+POWERS = st.one_of(st.just(0.0), st.floats(0.0, 1e-290), st.floats(0.0, 1e12))
+
+
+@settings(max_examples=500, deadline=None)
+@given(zeta=st.floats(-1.0, 1.0), delta=HALF_WIDTHS, center=st.floats(-4.0, 4.0))
+@example(zeta=1.0, delta=0.2, center=0.5).via("saturated")
+@example(zeta=-1.0, delta=0.2, center=0.5).via("saturated")
+@example(zeta=0.0, delta=1e-200, center=0.5).via("sin(delta)**2 and zeta**2 underflow: 0/0")
+def test_invert_ratio_matches_numpy_scalar_formula_bytewise(zeta, delta, center):
+    with np.errstate(divide="ignore", invalid="ignore"):  # a subnormal delta at zeta 0 gives 0/0
+        assert as_bytes(invert_ratio(zeta, delta, center)) == as_bytes(numpy_scalar_invert(zeta, delta, center))
+
+
+@settings(max_examples=500, deadline=None)
+@given(chi_minus=POWERS, chi_plus=POWERS, peak=st.one_of(POWERS, st.floats(1e12, 1e40)),
+       delta=HALF_WIDTHS, center=st.floats(-4.0, 4.0))
+@example(chi_minus=3.0, chi_plus=0.0, peak=3.0, delta=0.2, center=0.5).via("saturated ratio")
+@example(chi_minus=0.0, chi_plus=2.0, peak=2.0, delta=0.2, center=0.5).via("saturated ratio")
+@example(chi_minus=1e-25, chi_plus=2e-25, peak=1e3, delta=0.2, center=0.5).via("shared null")
+@example(chi_minus=1e-301, chi_plus=1e-302, peak=1e-310, delta=0.2, center=0.5).via("power floor")
+def test_refine_matches_numpy_scalar_formula_bytewise(chi_minus, chi_plus, peak, delta, center):
+    """_refine and ratio_metric on float powers are the np.float64 formulas to the bit."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a subnormal delta inverts 0/0 to nan
+        got = _refine(chi_minus, chi_plus, delta, center, peak)
+        assert as_bytes(*got) == as_bytes(*numpy_scalar_refine(chi_minus, chi_plus, delta, center, peak))
+        if chi_minus + chi_plus >= POWER_FLOOR:
+            expected = numpy_scalar_refine(chi_minus, chi_plus, delta, center, 0.0)[0]
+            assert as_bytes(ratio_metric(chi_minus, chi_plus)) == as_bytes(expected)
 
 
 # --- closed-form pair powers -------------------------------------------------

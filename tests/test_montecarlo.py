@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -75,8 +76,11 @@ def test_config_validation():
     with pytest.raises(ValueError, match="two_stage = 3: half width"):
         small_config(n_tot=3, n_rf=3, estimators=(EstimatorSpec("two_stage", 3),))
     assert small_config(n_tot=3, n_rf=1, estimators=(EstimatorSpec("two_stage", 3),)).n_rf == 1
-    # the bound earlier releases accepted; spawn keys name blocks, so the seeding itself needs none
-    assert small_config(trials=2 ** 32).trials == 2 ** 32
+    # run_sweep's errors array (2 SNR points x trials x 3 entries) bounds trials; nothing is allocated here
+    largest = montecarlo._MAX_ERROR_VALUES // (2 * 3)
+    assert small_config(trials=largest).trials == largest
+    with pytest.raises(ValueError, match=r"trials = 44739243 .*\(2 GiB"):
+        small_config(trials=largest + 1)
     with pytest.raises(ValueError, match="trials"):
         small_config(trials=2 ** 32 + 1)
     # one bound on every estimator count, checked before any codebook is built
@@ -489,6 +493,24 @@ def test_short_block_is_a_prefix_of_the_full_block(cfg, count, data):
     si = data.draw(st.integers(0, len(cfg.snr_grid_db) - 1), label="snr_index")
     full = _block_errors(ws, cfg, si, 0, _TRIAL_BLOCK)
     assert _block_errors(ws, cfg, si, 0, count).tobytes() == full[:count].tobytes()
+
+
+@settings(max_examples=10, deadline=None)
+@given(cfg=accepted_configs(), trials=st.one_of(st.integers(1, 600), st.integers(_TRIAL_BLOCK + 1, 600)))
+def test_worker_count_does_not_move_a_csv_byte(cfg, trials):
+    """run_sweep at workers 1 and 2 writes byte-identical CSVs; above 500 trials a sweep spans 2 blocks."""
+    cfg = dataclasses.replace(cfg, trials=trials)
+    try:
+        montecarlo._Workspace(cfg)
+    except SynthesisError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        written = []
+        for workers in (1, 2):
+            path = Path(tmp) / f"w{workers}.csv"
+            write_results_csv(run_sweep(cfg, workers=workers), path, cfg)
+            written.append(path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_run_sweep_error_decreases_with_snr():
