@@ -89,8 +89,10 @@ class ChannelRealization:
 
 
 def _responses(angles_deg, geom: ArrayGeometry) -> np.ndarray:
-    """Unit-norm array responses stacked by row, shape (len(angles_deg), N); row i is
-    byte for byte `steering(angle_to_spatial(angles_deg[i], geom), geom)`."""
+    """Unit-norm array responses stacked by row, shape (len(angles_deg), N).
+
+    Row i is byte for byte `steering(angle_to_spatial(angles_deg[i], geom), geom)`.
+    """
     ramp, norm = geom._steering_constants
     sf = np.array([angle_to_spatial(a, geom) for a in angles_deg])
     rows = np.exp(sf[:, None] * ramp)

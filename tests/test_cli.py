@@ -152,7 +152,7 @@ SMALL_RUN = "[experiment]\n"
     ("n_tot = 3\n[estimators]\ntwo_stage = 3\n", "two_stage"),  # pi/3: no out-of-band sample at N=3
     ("n_rf = 4\n", "n_rf"),  # widebeam offsets come in pairs: n_rf must be odd
     ("n_rf = 0\n[estimators]\ngob = 16\n", "n_rf"),  # rejected even with no widebeam to synthesize
-    ("trials = 4294967297\n", "trials"),  # far above the bound below
+    ("trials = 4294967297\n", "trials"),  # 19 SNR points x 3 entries: far above the errors-array bound
     # 2 SNR points x 2**32 trials x 1 entry is a 64 GiB errors array: over the 2**28-value bound
     ("trials = 4294967296\nsnr_grid_db = 0, 20\n[estimators]\ngob = 16\n", "trials"),
     # 10 ** (x / 10) overflows, or the value is not a number of dB at all
