@@ -22,9 +22,12 @@ class ArrayGeometry:
         if not self.element_spacing > 0:
             raise ValueError(f"element_spacing must be > 0, got {self.element_spacing}")
 
-    @property
+    @cached_property
     def spatial_limit(self) -> float:
-        """Largest spatial frequency reachable by a physical angle, 2*pi*(d/lambda)."""
+        """Largest spatial frequency reachable by a physical angle, 2*pi*(d/lambda).
+
+        Cached outside the dataclass fields, like `_steering_constants`.
+        """
         return 2.0 * np.pi * self.element_spacing
 
     @cached_property

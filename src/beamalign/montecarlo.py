@@ -18,6 +18,21 @@ t % _TRIAL_BLOCK of block t // _TRIAL_BLOCK, drawn in a fixed order:
 
 So a trial's draws depend on neither `trials` nor the worker count, and
 results are bit-identical for any execution order.
+
+A block's channels are built as one block realization (see `channel`): one
+`make_*` draw, one (count, M, N) `matrix()` and one stacked matched-row
+product for the block, while every cell still makes one `estimate_*` call
+on draw t, `realization[t]`. Each draw's matched row is byte for byte the
+one a per-trial build gives, so this keeps contract v2, because:
+
+- the spatial frequencies come from the array path of `angle_to_spatial`,
+  bitwise its scalar path;
+- the stored gains are formed elementwise as the one-draw `make_*` form
+  them, `w_i * (g_i * sqrt(N M))`;
+- the paths are added in order into a zero (count, M, N) array, gain on the
+  left, never as a sum over a path axis;
+- the matched rows are one stacked `np.matmul(rx[:, None, :], H)`, which
+  runs each draw's vector-matrix product on its own.
 """
 
 import csv
@@ -239,7 +254,8 @@ def _block_errors(ws, config, snr_index, block, count):
     """Absolute angle errors in degrees for the first `count` trials of one block, shape (count, E).
 
     The channel stream draws full `_TRIAL_BLOCK`-row arrays and each noise
-    stream only its first `count` rows (see the module docstring). Estimator
+    stream only its first `count` rows (see the module docstring); the first
+    `count` channel rows are built as one block realization. Estimator
     failures surface through the built-in fallbacks (center estimate), never
     as a dropped trial.
     """
@@ -247,20 +263,21 @@ def _block_errors(ws, config, snr_index, block, count):
     rician = config.channel_kind == "rician"
     channel_rng = _stream(config.master_seed, 0, snr_index, block)
     shape = (_TRIAL_BLOCK, config.num_paths if rician else 1)
-    aods = channel_rng.uniform(*config.aod_prior_deg, shape)[rows].tolist()
-    aoas = channel_rng.uniform(*config.aoa_prior_deg, shape)[rows].tolist()
-    gains = _cn(channel_rng, *shape)[rows].tolist()
+    aods = channel_rng.uniform(*config.aod_prior_deg, shape)[rows]
+    aoas = channel_rng.uniform(*config.aoa_prior_deg, shape)[rows]
+    gains = _cn(channel_rng, *shape)[rows]
+    if rician:
+        channels = make_rician(config.k_factor_db, aods, aoas, gains, ws.geometry_tx, ws.geometry_rx,
+                               nlos_normalized=config.nlos_normalized)
+    else:
+        channels = make_single_path(aods[:, 0], aoas[:, 0], gains[:, 0], ws.geometry_tx, ws.geometry_rx)
     entries = [(_ESTIMATE[spec.kind], codebook,
                 _cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings))
                for ei, (spec, codebook) in enumerate(zip(config.estimators, ws.codebooks))]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
     errors = []
-    for t, (aod, aoa, gain) in enumerate(zip(aods, aoas, gains)):
-        if rician:
-            channel = make_rician(config.k_factor_db, aod, aoa, gain, ws.geometry_tx, ws.geometry_rx,
-                                  nlos_normalized=config.nlos_normalized)
-        else:
-            channel = make_single_path(aod[0], aoa[0], gain[0], ws.geometry_tx, ws.geometry_rx)
+    for t in range(count):
+        channel = channels[t]
         truth = channel.aod_deg
         errors.append([abs(truth - estimate(channel, codebook, snr, noise[t]).estimate_deg)
                        for estimate, codebook, noise in entries])

@@ -22,6 +22,14 @@ def test_geometry_validation():
     assert GEOM16.spatial_limit == pytest.approx(np.pi)
 
 
+@pytest.mark.parametrize("spacing", [0.05, 0.5, 0.73, 1.0])
+def test_spatial_limit_is_cached_without_touching_equality(spacing):
+    fresh, read = ArrayGeometry(8, spacing), ArrayGeometry(8, spacing)
+    assert read.spatial_limit == 2.0 * np.pi * spacing
+    assert read.spatial_limit is read.spatial_limit  # computed once, then kept
+    assert read == fresh and hash(read) == hash(fresh) and read != ArrayGeometry(9, spacing)
+
+
 def test_angle_to_spatial_known_points():
     assert angle_to_spatial(0.0, GEOM16) == 0.0
     assert angle_to_spatial(90.0, GEOM16) == pytest.approx(np.pi, abs=1e-12)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beamalign import ArrayGeometry, angle_to_spatial, make_rician, make_single_path, steering
@@ -129,6 +129,89 @@ def test_stacked_build_is_the_per_path_build_byte_for_byte(paths, n, m, tx_spaci
     assert ch.matched_row.tobytes() == row.tobytes()
 
 
+PATH_COUNTS = st.integers(1, 6)
+
+
+@st.composite
+def blocks(draw):
+    """(aods, aoas, gains) as (T, P) arrays with T in [1, 8] and P in [1, 6]."""
+    t, p = draw(st.integers(1, 8)), draw(PATH_COUNTS)
+    rows = lambda elements: draw(st.lists(st.lists(elements, min_size=p, max_size=p), min_size=t, max_size=t))
+    return np.array(rows(ANGLES)), np.array(rows(ANGLES)), np.array(rows(CN_GAINS), dtype=complex)
+
+
+BAD_PATH_VALUES = st.sampled_from([(0, 90.5), (1, -91.0), (1, float("nan")), (2, float("inf")),
+                                   (2, complex(0.0, float("nan")))])
+SIGNED_ZERO_BLOCK = (np.zeros((2, 4)), np.zeros((2, 4)),
+                     np.array([[0j] * 4, [0j, 1j, 1j, 2.5j]]) / np.sqrt(2.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(paths=blocks(), n=st.integers(1, 40), m=st.integers(1, 12),
+       tx_spacing=st.floats(0.05, 1.0), rx_spacing=st.floats(0.05, 1.0),
+       bad=st.tuples(st.integers(0, 7), st.integers(0, 5), BAD_PATH_VALUES))
+@example(paths=SIGNED_ZERO_BLOCK, n=1, m=1, tx_spacing=1.0, rx_spacing=1.0, bad=(0, 0, (0, 90.5)))
+def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing, rx_spacing, bad):
+    """Every draw of a block, and the one-draw realization it indexes, equals the per-path build to the bit.
+
+    A block with one out-of-range angle or one non-finite gain, in any draw,
+    raises the one-draw ValueError. The explicit example has zero gains, where
+    a build summed over a path axis differs from the in-order sum in the sign
+    of a zero.
+    """
+    tx, rx = ArrayGeometry(n, tx_spacing), ArrayGeometry(m, rx_spacing)
+    block = ChannelRealization(*paths, tx, rx)
+    h, rows = block.matrix(), block.matched_row
+    assert block.trials == len(paths[0]) and h.shape == (block.trials, m, n) and rows.shape == (block.trials, n)
+    for t in range(block.trials):
+        one = ChannelRealization(*(tuple(x[t].tolist()) for x in paths), tx, rx)
+        ref_h, ref_row = per_path_build(one)
+        assert h[t].tobytes() == ref_h.tobytes()
+        assert rows[t].tobytes() == ref_row.tobytes()
+        draw = block[t]
+        assert (draw.trials, draw.aods_deg, draw.aoas_deg, draw.gains) == (None, one.aods_deg, one.aoas_deg, one.gains)
+        assert draw.matched_row.tobytes() == ref_row.tobytes()
+        assert draw.matrix().tobytes() == ref_h.tobytes()
+
+    t, i, (field, value) = bad[0] % block.trials, bad[1] % paths[0].shape[1], bad[2]
+    broken = [x.copy() for x in paths]
+    broken[field][t, i] = value
+    with pytest.raises(ValueError, match=r"path gains must be finite" if field == 2 else
+                       r"path angles must lie in \[-90, 90\] degrees"):
+        ChannelRealization(*broken, tx, rx)
+
+
+def test_block_make_matches_one_draw_make_byte_for_byte():
+    """Batched make_rician / make_single_path store, index and build what T one-draw calls do."""
+    aods, aoas, gains = drawn_paths(np.random.default_rng(8), 4, 300)
+    for normalized in (False, True):
+        block = make_rician(13.5, aods, aoas, gains, TX8, RX4, nlos_normalized=normalized)
+        for t in range(len(gains)):
+            one = make_rician(13.5, aods[t], aoas[t], gains[t], TX8, RX4, nlos_normalized=normalized)
+            assert block[t].gains == one.gains and block[t].aods_deg == one.aods_deg
+            assert block.matched_row[t].tobytes() == one.matched_row.tobytes()
+    block = make_single_path(aods[:, 0], aoas[:, 0], gains[:, 0], TX8, RX4)
+    for t in range(len(gains)):
+        one = make_single_path(aods[t, 0], aoas[t, 0], gains[t, 0], TX8, RX4)
+        assert (block[t].aods_deg, block[t].aoas_deg, block[t].gains) == (one.aods_deg, one.aoas_deg, one.gains)
+        assert block[t].matched_row.tobytes() == one.matched_row.tobytes()
+    np.testing.assert_array_equal(block.aod_deg, aods[:, 0])
+
+
+def test_block_indexing():
+    aods, aoas, gains = drawn_paths(np.random.default_rng(5), 2, 3)
+    block = make_rician(13.5, aods, aoas, gains, TX8, RX4)
+    assert block[-1].gains == block[2].gains
+    assert not block.matched_row.flags.writeable and not block[0].matched_row.flags.writeable
+    assert not block.gains.flags.writeable
+    aods[0, 0] = 99.0  # the block keeps its own copy of the validated draws
+    assert block.aods_deg[0, 0] != 99.0
+    with pytest.raises(IndexError):
+        block[3]
+    with pytest.raises(TypeError, match="no trial axis"):
+        block[0][0]
+
+
 def test_single_path_is_rician_special_case():
     aods, aoas, gains = drawn_paths(np.random.default_rng(7), 1)
     rician = make_rician(300.0, aods, aoas, gains, TX8, RX4)
@@ -138,11 +221,12 @@ def test_single_path_is_rician_special_case():
 
 def test_rician_mean_power():
     # Monte Carlo oracle: E ||H||_F^2 = N*M*(K + L - 1)/(K + 1) for CN(0,1) gains
-    k_db, n_paths, trials = 13.5, 4, 100_000
+    k_db, n_paths, trials, chunk = 13.5, 4, 100_000, 10_000
+    drawn = drawn_paths(np.random.default_rng(3), n_paths, trials)
     acc = 0.0
-    for aods, aoas, gains in zip(*drawn_paths(np.random.default_rng(3), n_paths, trials)):
-        ch = make_rician(k_db, aods, aoas, gains, TX8, RX4)
-        acc += np.linalg.norm(ch.matrix()) ** 2
+    for start in range(0, trials, chunk):  # blocks of 10k draws bound the (T, M, N) matrices
+        ch = make_rician(k_db, *(x[start:start + chunk] for x in drawn), TX8, RX4)
+        acc += np.sum(np.abs(ch.matrix()) ** 2)
     k = 10 ** (k_db / 10)
     predicted = 8 * 4 * (k + n_paths - 1) / (k + 1)
     assert acc / trials == pytest.approx(predicted, rel=0.02)

@@ -256,19 +256,13 @@ def test_benchmark_tracer_wraps_every_span_target():
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.parametrize("fig, workload", [("fig5", "fig5-sweep"), ("fig6", "fig6-rician-w2")])
-def test_traced_sweep_meets_benchmark_predicates(fig, workload, tmp_path):
-    """A traced benchmark job calls every span the harness predicts, and one estimator per cell.
-
-    Runs perfbench/child.py as the benchmark does, on the bundled config cut to
-    2 trials x 2 SNR points, and checks the traced run's own failure
-    predicates; the per-draw count keeps the matched row to one matrix() per draw.
-    """
+def traced_sweep_job(fig, tmp_path, trials, snr_grid_db):
+    """Spans and cell count of a traced perfbench/child.py sweep of a bundled config, run as the benchmark does."""
     env = {**os.environ, "PYTHONPATH": "src"}
     env.pop("BEAMALIGN_LOG", None)
     config_text = (ROOT / "src" / "beamalign" / "configs" / f"{fig}.cfg").read_text()
     config_path = tmp_path / "input.cfg"
-    config_path.write_text(config_text.replace("trials = 10000", "trials = 2\nsnr_grid_db = 0, 20"))
+    config_path.write_text(config_text.replace("trials = 10000", f"trials = {trials}\nsnr_grid_db = {snr_grid_db}"))
     job = {"mode": "sweep", "config": str(config_path), "trace": True, "workers": 1,
            "out": str(tmp_path / "out.csv"), "result": str(tmp_path / "result.json")}
     (tmp_path / "job.json").write_text(json.dumps(job))
@@ -276,12 +270,35 @@ def test_traced_sweep_meets_benchmark_predicates(fig, workload, tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     res = json.loads((tmp_path / "result.json").read_text())
-    spans = res["spans"]
+    return res["spans"], res["cells"]
+
+
+def estimator_calls(spans):
+    return sum(spans[f"estimators.{k}"]["calls"] for k in ("two_stage", "gob", "gob_abp"))
+
+
+@pytest.mark.parametrize("fig, workload", [("fig5", "fig5-sweep"), ("fig6", "fig6-rician-w2")])
+def test_traced_sweep_meets_benchmark_predicates(fig, workload, tmp_path):
+    """A traced benchmark job calls every span the harness predicts, and one estimator per cell.
+
+    Runs the bundled config cut to 2 trials x 2 SNR points, so 2 blocks, and
+    checks the traced run's own failure predicates; each block makes one
+    channel draw and one matrix() for all its trials.
+    """
+    spans, cells = traced_sweep_job(fig, tmp_path, 2, "0, 20")
     calls = {name: spans.get(name, {}).get("calls", 0) for name in bench_run.PREDICTED[workload]}
     assert all(calls.values()), f"no calls to {[n for n, c in calls.items() if not c]}"
-    assert res["cells"] == 2 * 2 * 5
-    assert sum(spans[f"estimators.{k}"]["calls"] for k in ("two_stage", "gob", "gob_abp")) == res["cells"]
-    assert spans["channel.matrix"]["calls"] == spans["channel.draw"]["calls"] == 2 * 2
+    assert cells == 2 * 2 * 5
+    assert estimator_calls(spans) == cells
+    assert spans["channel.matrix"]["calls"] == spans["channel.draw"]["calls"] == 2
+
+
+def test_traced_sweep_across_a_block_boundary(tmp_path):
+    """501 trials at one SNR point run as 2 blocks: 2 draws, 2 matrix() calls and one estimate per cell."""
+    spans, cells = traced_sweep_job("fig6", tmp_path, _TRIAL_BLOCK + 1, "20")
+    assert cells == 501 * 5
+    assert estimator_calls(spans) == cells
+    assert spans["channel.matrix"]["calls"] == spans["channel.draw"]["calls"] == 2
 
 
 @pytest.mark.parametrize("codebook", bench_run.CODEBOOKS, ids=lambda cb: "N{}-n_rf{}-J{}-k{}-x{}".format(*cb))
