@@ -9,10 +9,9 @@ estimator sounds through, is formed once per realization.
 
 A block realization holds T draws along a leading trial axis: its path fields
 are (T, P) arrays, `matrix()` is (T, M, N) and `matched_row` is (T, N), each
-built once for the whole block. `realization[t]` is draw t as a one-draw
-realization whose `matched_row` is row t of the block's, neither validated
-nor built again. A one-draw realization (tuple path fields, an (M, N)
-`matrix()`, an (N,) `matched_row`) is built as the block of one draw.
+built once for the whole block; row t is what estimators sound draw t
+through. A one-draw realization (tuple path fields, an (M, N) `matrix()`, an
+(N,) `matched_row`) is built as the block of one draw.
 
 The path responses are computed once per side, as one stacked array
 (`_responses`), and the combiner rx is the receive response of path 0. Draw
@@ -95,23 +94,6 @@ class ChannelRealization:
     def aod_deg(self):
         """Ground-truth departure angle of the dominant (LOS) path; (T,) for a block."""
         return self.aods_deg[0] if self.trials is None else self.aods_deg[:, 0]
-
-    def __getitem__(self, t: int) -> "ChannelRealization":
-        """Draw t of a block, as a one-draw realization whose `matched_row` is row t of the block's."""
-        if self.trials is None:
-            raise TypeError("a one-draw realization has no trial axis to index")
-        t = range(self.trials)[t]
-        aods, aoas, gains = self._draw_fields[t]
-        draw = object.__new__(ChannelRealization)
-        # the block validated the draw, so its fields and row are set without __post_init__
-        draw.__dict__.update(aods_deg=aods, aoas_deg=aoas, gains=gains, geometry_tx=self.geometry_tx,
-                             geometry_rx=self.geometry_rx, trials=None, matched_row=self.matched_row[t])
-        return draw
-
-    @cached_property
-    def _draw_fields(self) -> list:
-        """Per draw of a block, its (AoDs, AoAs, gains) as tuples of Python numbers."""
-        return list(zip(*(map(tuple, p.tolist()) for p in self._paths)))
 
     @cached_property
     def _path_responses(self) -> tuple:

@@ -6,7 +6,9 @@ unit-norm receive vector: y = sqrt(rho) * w^H H f + w^H n with n ~ CN(0, I).
 For a unit-norm w and fresh n per sounding, w^H n is exactly CN(0, 1) and
 independent across soundings, so each estimator takes one complex noise
 sample per sounding from its caller (None: noiseless) and draws nothing.
-The receiver always steers at the true arrival angle of the dominant path.
+The receiver always steers at the true arrival angle of the dominant path,
+so an estimator sees the channel only through its receive row rx^H H, an
+(N,) array; the engine passes each draw's matched row (see `channel`).
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
 A pair total at most PAIR_NULL_FRACTION of the strongest sweep power is a
@@ -33,7 +35,6 @@ import numpy as np
 
 from .arrays import spatial_to_angle
 from .beams import SteeringCodebook, WidebeamCodebook, is_adequate
-from .channel import ChannelRealization
 
 POWER_FLOOR = 1e-300
 PAIR_NULL_FRACTION = 1e-20  # about 13 decades below any fig3-fig6 draw's pair total / peak
@@ -52,16 +53,18 @@ class EstimationReport:
     ratio_metric: float
 
 
-def _sound(channel: ChannelRealization, beams: np.ndarray, snr: float, noise) -> np.ndarray:
-    """Received samples y = sqrt(snr) * rx^H H f + n for every column f of `beams`.
+def _sound(row: np.ndarray, beams: np.ndarray, snr: float, noise) -> np.ndarray:
+    """Received samples y = sqrt(snr) * row @ f + n for every column f of `beams`.
 
-    The combiner rx is the matched receiver, steered at the arrival angle of
-    the dominant path; its row h_row = rx^H H belongs to the channel, so every
-    estimator sounding one draw shares it. `noise` holds the combined noise
+    `row` is the receive row h_row = rx^H H of one channel draw, with the
+    combiner rx steered at the arrival angle of the dominant path, so every
+    estimator sounding that draw shares it. `noise` holds the combined noise
     rx^H n of each sounding, one CN(0, 1) sample per column; None models
     noiseless sounding.
     """
-    y = math.sqrt(snr) * (channel.matched_row @ beams)
+    if np.shape(row) != beams.shape[:1]:
+        raise ValueError(f"need one receive row of shape ({beams.shape[0]},), got shape {np.shape(row)}")
+    y = math.sqrt(snr) * (row @ beams)
     if noise is None:
         return y
     if np.shape(noise) != y.shape:
@@ -71,9 +74,9 @@ def _sound(channel: ChannelRealization, beams: np.ndarray, snr: float, noise) ->
     return y
 
 
-def _powers(channel: ChannelRealization, beams: np.ndarray, snr: float, noise) -> np.ndarray:
+def _powers(row: np.ndarray, beams: np.ndarray, snr: float, noise) -> np.ndarray:
     """Received powers |y|**2 of `_sound`, one per column of `beams`."""
-    chi = np.abs(_sound(channel, beams, snr, noise))
+    chi = np.abs(_sound(row, beams, snr, noise))
     chi *= chi
     return chi
 
@@ -168,7 +171,7 @@ def _report(mu_hat: float, geometry, selection: int, zeta: float = 0.0) -> Estim
                             ratio_metric=zeta)
 
 
-def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
+def estimate_two_stage(row: np.ndarray, codebook: WidebeamCodebook,
                        snr: float, noise) -> EstimationReport:
     """Widebeam sweep to pick a sector, then pair ratio inversion inside it.
 
@@ -179,22 +182,22 @@ def estimate_two_stage(channel: ChannelRealization, codebook: WidebeamCodebook,
     """
     j = codebook.num_beams
     stage1, stage2 = (None, None) if noise is None else (noise[:j], noise[j:])
-    chi1 = _powers(channel, codebook.matrix, snr, stage1)
+    chi1 = _powers(row, codebook.matrix, snr, stage1)
     j_max = int(chi1.argmax())
     gamma = float(codebook.boresights[j_max])
-    chi_minus, chi_plus = _powers(channel, codebook.pairs[j_max], snr, stage2).tolist()
+    chi_minus, chi_plus = _powers(row, codebook.pairs[j_max], snr, stage2).tolist()
     zeta, mu_hat = _refine(chi_minus, chi_plus, codebook.half_width, gamma, float(chi1[j_max]))
     return _report(mu_hat, codebook.geometry, j_max, zeta)
 
 
-def estimate_gob(channel: ChannelRealization, codebook: SteeringCodebook,
+def estimate_gob(row: np.ndarray, codebook: SteeringCodebook,
                  snr: float, noise) -> EstimationReport:
     """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
-    best = int(_powers(channel, codebook.matrix, snr, noise).argmax())
+    best = int(_powers(row, codebook.matrix, snr, noise).argmax())
     return _report(float(codebook.boresights[best]), codebook.geometry, best)
 
 
-def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
+def estimate_gob_abp(row: np.ndarray, codebook: SteeringCodebook,
                      snr: float, noise) -> EstimationReport:
     """Narrow-beam sweep refined by the power ratio of the two strongest neighbors.
 
@@ -203,7 +206,7 @@ def estimate_gob_abp(channel: ChannelRealization, codebook: SteeringCodebook,
     center and half width (`SteeringCodebook.pair_geometry`). Reuses the sweep
     powers, so the budget equals the codebook size.
     """
-    chi = _powers(channel, codebook.matrix, snr, noise)
+    chi = _powers(row, codebook.matrix, snr, noise)
     best = int(chi.argmax())
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:

@@ -21,18 +21,9 @@ results are bit-identical for any execution order.
 
 A block's channels are built as one block realization (see `channel`): one
 `make_*` draw, one (count, M, N) `matrix()` and one stacked matched-row
-product for the block, while every cell still makes one `estimate_*` call
-on draw t, `realization[t]`. Each draw's matched row is byte for byte the
-one a per-trial build gives, so this keeps contract v2, because:
-
-- the spatial frequencies come from the array path of `angle_to_spatial`,
-  bitwise its scalar path;
-- the stored gains are formed elementwise as the one-draw `make_*` form
-  them, `w_i * (g_i * sqrt(N M))`;
-- the paths are added in order into a zero (count, M, N) array, gain on the
-  left, never as a sum over a path axis;
-- the matched rows are one stacked `np.matmul(rx[:, None, :], H)`, which
-  runs each draw's vector-matrix product on its own.
+product for the block, while every cell still makes one `estimate_*` call,
+on row t of the block's matched rows. `channel` states why each row is byte
+for byte the one a per-trial build gives, which keeps contract v2.
 """
 
 import csv
@@ -275,13 +266,9 @@ def _block_errors(ws, config, snr_index, block, count):
                 _cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings))
                for ei, (spec, codebook) in enumerate(zip(config.estimators, ws.codebooks))]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    errors = []
-    for t in range(count):
-        channel = channels[t]
-        truth = channel.aod_deg
-        errors.append([abs(truth - estimate(channel, codebook, snr, noise[t]).estimate_deg)
-                       for estimate, codebook, noise in entries])
-    return np.array(errors, dtype=float)
+    draws = enumerate(zip(channels.aod_deg.tolist(), channels.matched_row))
+    return np.array([[abs(truth - estimate(row, codebook, snr, noise[t]).estimate_deg)
+                      for estimate, codebook, noise in entries] for t, (truth, row) in draws], dtype=float)
 
 
 def _run_block(args):

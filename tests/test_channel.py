@@ -129,6 +129,11 @@ def test_stacked_build_is_the_per_path_build_byte_for_byte(paths, n, m, tx_spaci
     assert ch.matched_row.tobytes() == row.tobytes()
 
 
+def draw_fields(block, t):
+    """Draw t of a block as a one-draw realization's path fields: (AoDs, AoAs, gains) tuples."""
+    return tuple(tuple(x[t].tolist()) for x in (block.aods_deg, block.aoas_deg, block.gains))
+
+
 PATH_COUNTS = st.integers(1, 6)
 
 
@@ -152,7 +157,7 @@ SIGNED_ZERO_BLOCK = (np.zeros((2, 4)), np.zeros((2, 4)),
        bad=st.tuples(st.integers(0, 7), st.integers(0, 5), BAD_PATH_VALUES))
 @example(paths=SIGNED_ZERO_BLOCK, n=1, m=1, tx_spacing=1.0, rx_spacing=1.0, bad=(0, 0, (0, 90.5)))
 def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing, rx_spacing, bad):
-    """Every draw of a block, and the one-draw realization it indexes, equals the per-path build to the bit.
+    """Every draw of a block, its path fields, matrix and matched row, equals the per-draw build to the bit.
 
     A block with one out-of-range angle or one non-finite gain, in any draw,
     raises the one-draw ValueError. The explicit example has zero gains, where
@@ -168,10 +173,9 @@ def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing
         ref_h, ref_row = per_path_build(one)
         assert h[t].tobytes() == ref_h.tobytes()
         assert rows[t].tobytes() == ref_row.tobytes()
-        draw = block[t]
-        assert (draw.trials, draw.aods_deg, draw.aoas_deg, draw.gains) == (None, one.aods_deg, one.aoas_deg, one.gains)
-        assert draw.matched_row.tobytes() == ref_row.tobytes()
-        assert draw.matrix().tobytes() == ref_h.tobytes()
+        assert one.trials is None and draw_fields(block, t) == (one.aods_deg, one.aoas_deg, one.gains)
+        assert one.matched_row.tobytes() == ref_row.tobytes()
+        assert one.matrix().tobytes() == ref_h.tobytes()
 
     t, i, (field, value) = bad[0] % block.trials, bad[1] % paths[0].shape[1], bad[2]
     broken = [x.copy() for x in paths]
@@ -182,34 +186,29 @@ def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing
 
 
 def test_block_make_matches_one_draw_make_byte_for_byte():
-    """Batched make_rician / make_single_path store, index and build what T one-draw calls do."""
+    """Batched make_rician / make_single_path store and build what T one-draw calls do."""
     aods, aoas, gains = drawn_paths(np.random.default_rng(8), 4, 300)
     for normalized in (False, True):
         block = make_rician(13.5, aods, aoas, gains, TX8, RX4, nlos_normalized=normalized)
         for t in range(len(gains)):
             one = make_rician(13.5, aods[t], aoas[t], gains[t], TX8, RX4, nlos_normalized=normalized)
-            assert block[t].gains == one.gains and block[t].aods_deg == one.aods_deg
+            assert draw_fields(block, t) == (one.aods_deg, one.aoas_deg, one.gains)
             assert block.matched_row[t].tobytes() == one.matched_row.tobytes()
     block = make_single_path(aods[:, 0], aoas[:, 0], gains[:, 0], TX8, RX4)
     for t in range(len(gains)):
         one = make_single_path(aods[t, 0], aoas[t, 0], gains[t, 0], TX8, RX4)
-        assert (block[t].aods_deg, block[t].aoas_deg, block[t].gains) == (one.aods_deg, one.aoas_deg, one.gains)
-        assert block[t].matched_row.tobytes() == one.matched_row.tobytes()
+        assert draw_fields(block, t) == (one.aods_deg, one.aoas_deg, one.gains)
+        assert block.matched_row[t].tobytes() == one.matched_row.tobytes()
     np.testing.assert_array_equal(block.aod_deg, aods[:, 0])
 
 
-def test_block_indexing():
+def test_block_keeps_read_only_copies():
     aods, aoas, gains = drawn_paths(np.random.default_rng(5), 2, 3)
     block = make_rician(13.5, aods, aoas, gains, TX8, RX4)
-    assert block[-1].gains == block[2].gains
-    assert not block.matched_row.flags.writeable and not block[0].matched_row.flags.writeable
+    assert not block.matched_row.flags.writeable and not block.matched_row[0].flags.writeable
     assert not block.gains.flags.writeable
     aods[0, 0] = 99.0  # the block keeps its own copy of the validated draws
     assert block.aods_deg[0, 0] != 99.0
-    with pytest.raises(IndexError):
-        block[3]
-    with pytest.raises(TypeError, match="no trial axis"):
-        block[0][0]
 
 
 def test_single_path_is_rician_special_case():
