@@ -8,7 +8,8 @@ independent across soundings, so each estimator takes one complex noise
 sample per sounding from its caller (None: noiseless) and draws nothing.
 The receiver always steers at the true arrival angle of the dominant path,
 so an estimator sees the channel only through its receive row rx^H H, an
-(N,) array; the engine passes each draw's matched row (see `channel`).
+(N,) array: row t of a realization's (T, N) `matched_row` (see `channel`),
+which the engine passes per draw; a single draw's row is `matched_row[0]`.
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
 A pair total at most PAIR_NULL_FRACTION of the strongest sweep power is a

@@ -19,11 +19,12 @@ t % _TRIAL_BLOCK of block t // _TRIAL_BLOCK, drawn in a fixed order:
 So a trial's draws depend on neither `trials` nor the worker count, and
 results are bit-identical for any execution order.
 
-A block's channels are built as one block realization (see `channel`): one
-`make_*` draw, one (count, M, N) `matrix()` and one stacked matched-row
-product for the block, while every cell still makes one `estimate_*` call,
-on row t of the block's matched rows. `channel` states why each row is byte
-for byte the one a per-trial build gives, which keeps contract v2.
+A block's channels are one realization of `count` draws (see `channel`,
+where every realization is a block): one `make_*` draw, one (count, M, N)
+`matrix()` and one stacked matched-row product for the block, while every
+cell still makes one `estimate_*` call, on row t of the block's matched
+rows. `channel` states why each row is byte for byte the one a per-trial
+build gives, which keeps contract v2.
 """
 
 import csv
@@ -57,6 +58,11 @@ _MAX_ERROR_VALUES = 2 ** 28
 # bound on every [estimators] count: a codebook holds N x count weights and a
 # block's noise draw 500 x soundings samples (about 33 MB at this bound)
 _MAX_BEAMS = 4096
+# bound on each complex array a channel block holds: the (500, m_tot, n_tot)
+# matrix (matrix() keeps a second one as its term buffer) and the
+# (500, num_paths, n_tot + m_tot) path responses; 2**24 values are 256 MiB of
+# complex128, so N = 1024 with M = 32, or 127 paths at N = 256 with M = 8
+_MAX_BLOCK_VALUES = 2 ** 24
 # bound on snr * N * M, about the matched sounding power over |g|**2: eight
 # decades below float overflow, for the gain draw
 _MAX_SOUNDING_POWER = 1e300
@@ -134,6 +140,16 @@ class ExperimentConfig:
         check_n_rf(self.n_rf)
         if self.channel_kind not in CHANNEL_KINDS:
             raise ValueError(f"unknown channel kind {self.channel_kind!r}; expected one of {CHANNEL_KINDS}")
+        matrix = _TRIAL_BLOCK * self.m_tot * self.n_tot
+        if matrix > _MAX_BLOCK_VALUES:
+            raise ValueError(f"n_tot = {self.n_tot} with m_tot = {self.m_tot} gives a ({_TRIAL_BLOCK}, m_tot, "
+                             f"n_tot) channel block of {matrix} values, above the 2**24 (256 MiB of complex128) "
+                             f"a block may hold")
+        responses = _TRIAL_BLOCK * self.num_paths * (self.n_tot + self.m_tot)
+        if self.channel_kind == "rician" and responses > _MAX_BLOCK_VALUES:
+            raise ValueError(f"num_paths = {self.num_paths} gives ({_TRIAL_BLOCK}, num_paths, n_tot + m_tot) "
+                             f"path responses of {responses} values, above the 2**24 (256 MiB of complex128) "
+                             f"a block may hold")
         if not self.estimators:
             raise ValueError("estimators: at least one estimator entry is required")
         for spec in self.estimators:

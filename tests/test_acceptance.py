@@ -129,8 +129,8 @@ def test_c03_noiseless_exactness():
         two_errs, gob_errs = [], []
         for theta in rng.uniform(-50.0, 50.0, 1000):
             ch = make_single_path(theta, rng.uniform(-90.0, 90.0), 1.0, tx, rx)
-            two_errs.append(abs(theta - estimate_two_stage(ch.matched_row, widebeams, 100.0, None).estimate_deg))
-            gob_errs.append(abs(theta - estimate_gob(ch.matched_row, narrow, 100.0, None).estimate_deg))
+            two_errs.append(abs(theta - estimate_two_stage(ch.matched_row[0], widebeams, 100.0, None).estimate_deg))
+            gob_errs.append(abs(theta - estimate_gob(ch.matched_row[0], narrow, 100.0, None).estimate_deg))
         two_errs, gob_errs = np.array(two_errs), np.array(gob_errs)
         assert two_errs.mean() < 1e-3, f"mean noiseless error {two_errs.mean():.3e} deg"
         assert np.all(two_errs <= gob_errs)
@@ -146,7 +146,7 @@ def test_c03_noiseless_exact_at_every_boresight(n, k):
         for gamma in widebeams.boresights:
             theta = spatial_to_angle(float(gamma), tx)
             ch = make_single_path(theta, 20.0, 1.0, tx, rx)
-            err = abs(theta - estimate_two_stage(ch.matched_row, widebeams, 100.0, None).estimate_deg)
+            err = abs(theta - estimate_two_stage(ch.matched_row[0], widebeams, 100.0, None).estimate_deg)
             assert err < 1e-9, f"error {err:.3e} deg at boresight {theta:.4f} deg"
 
 

@@ -112,8 +112,9 @@ def test_steering_matrix_columns():
 
 @pytest.mark.parametrize("geom", [GEOM16, ArrayGeometry(7, 0.37)])
 def test_scalar_paths_match_array_paths_bitwise(geom):
-    # The float paths skip asarray but keep numpy's ufuncs: math.asin differs
-    # from np.arcsin in the last bit on about 8% of inputs on AVX-512 hosts.
+    # spatial_to_angle's float path skips asarray but keeps numpy's ufuncs:
+    # math.asin differs from np.arcsin in the last bit on about 8% of inputs
+    # on AVX-512 hosts. angle_to_spatial takes scalars through asarray too.
     rng = np.random.default_rng(2024)
     lim = geom.spatial_limit
     angles = np.concatenate([rng.uniform(-90.0, 90.0, 10_000), [-90.0, 90.0, 0.0, -0.0]])

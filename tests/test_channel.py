@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -22,7 +24,7 @@ def drawn_paths(rng, n_paths, trials=None):
 def test_single_path_boresight_is_all_ones():
     # hand evaluation: alpha = sqrt(8), a_r = ones/sqrt(2), a_t = ones/2
     ch = make_single_path(0.0, 0.0, 1.0, TX4, RX2)
-    np.testing.assert_allclose(ch.matrix(), np.ones((2, 4)), atol=1e-14)
+    np.testing.assert_allclose(ch.matrix()[0], np.ones((2, 4)), atol=1e-14)
 
 
 def test_single_path_frobenius_norm():
@@ -31,12 +33,12 @@ def test_single_path_frobenius_norm():
         g = complex(rng.standard_normal(), rng.standard_normal())
         ch = make_single_path(rng.uniform(-90, 90), rng.uniform(-90, 90), g, TX8, RX4)
         alpha = g * np.sqrt(8 * 4)
-        assert np.linalg.norm(ch.matrix()) ** 2 == pytest.approx(abs(alpha) ** 2, rel=1e-12)
+        assert np.linalg.norm(ch.matrix()[0]) ** 2 == pytest.approx(abs(alpha) ** 2, rel=1e-12)
 
 
 def test_single_path_rank_one():
     ch = make_single_path(33.0, -12.0, 0.7 + 0.2j, TX8, RX4)
-    s = np.linalg.svd(ch.matrix(), compute_uv=False)
+    s = np.linalg.svd(ch.matrix()[0], compute_uv=False)
     assert s[1] < 1e-12 * s[0]
 
 
@@ -57,10 +59,24 @@ def test_non_finite_gain_is_rejected(bad):
 
 
 def test_rician_requires_paths():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("got (1, 0), (1, 0) and (1, 0)")):
         make_rician(10.0, [], [], [], TX8, RX4)
-    with pytest.raises(ValueError):  # one AoA short
+    with pytest.raises(ValueError, match=re.escape("got (1, 2), (1, 1) and (1, 2)")):  # one AoA short
         make_rician(10.0, [0.0, 10.0], [5.0], [1.0, 1.0], TX8, RX4)
+
+
+@pytest.mark.parametrize("build, shapes", [
+    (lambda: make_single_path(np.zeros((3, 2)), np.zeros((3, 2)), np.ones((3, 2)), TX8, RX4),
+     "(3, 1, 2), (3, 1, 2) and (3, 1, 2)"),
+    (lambda: ChannelRealization(np.zeros((3, 2, 1)), np.zeros((3, 2, 1)), np.ones((3, 2, 1)), TX8, RX4),
+     "(3, 2, 1), (3, 2, 1) and (3, 2, 1)"),
+    (lambda: make_single_path(np.zeros(3), np.zeros(2), np.ones(3), TX8, RX4), "(3, 1), (2, 1) and (3, 1)"),
+    (lambda: ChannelRealization([], [], [], TX8, RX4), "(0,), (0,) and (0,)"),
+])
+def test_malformed_block_names_its_shapes(build, shapes):
+    with pytest.raises(ValueError, match=r"need \(T, P\) AoD, AoA and gain arrays of one shape.*; got "
+                       + re.escape(shapes)):
+        build()
 
 
 def path_matrix(aod, aoa, alpha, tx, rx):
@@ -74,7 +90,7 @@ def test_rician_large_k_is_los():
     aods, aoas, gains = drawn_paths(np.random.default_rng(21), 4)
     ch = make_rician(300.0, aods, aoas, gains, TX8, RX4)
     h_los = path_matrix(aods[0], aoas[0], gains[0] * np.sqrt(8 * 4), TX8, RX4)
-    rel = np.linalg.norm(ch.matrix() - h_los) / np.linalg.norm(h_los)
+    rel = np.linalg.norm(ch.matrix()[0] - h_los) / np.linalg.norm(h_los)
     assert rel < 1e-6
 
 
@@ -96,44 +112,35 @@ def test_matrix_equals_independent_path_sum():
     for i in range(4):
         w = np.sqrt(k / (1 + k)) if i == 0 else np.sqrt(1 / (1 + k))
         ref += path_matrix(aods[i], aoas[i], w * gains[i] * np.sqrt(8 * 4), TX8, RX4)
-    assert np.max(np.abs(ch.matrix() - ref)) < 1e-12
+    assert np.max(np.abs(ch.matrix()[0] - ref)) < 1e-12
 
 
-def per_path_build(ch):
-    """(H, rx^H H) from one `steering` call per path and side, summed path by path."""
-    tx, rx = ch.geometry_tx, ch.geometry_rx
+def per_path_build(aods, aoas, gains, tx, rx):
+    """(H, rx^H H) of one draw's path lists from one `steering` call per path and side, summed path by path."""
     h = np.zeros((rx.num_elements, tx.num_elements), dtype=complex)
-    for aod, aoa, g in zip(ch.aods_deg, ch.aoas_deg, ch.gains):
+    for aod, aoa, g in zip(aods, aoas, gains):
         a_r = steering(angle_to_spatial(aoa, rx), rx)
         a_t = steering(angle_to_spatial(aod, tx), tx)
         h += g * np.outer(a_r, a_t.conj())
-    rx_combiner = steering(angle_to_spatial(ch.aoas_deg[0], rx), rx)
+    rx_combiner = steering(angle_to_spatial(aoas[0], rx), rx)
     return h, rx_combiner.conj() @ h
+
+
+def draw_build(block, t):
+    """`per_path_build` on draw t's path lists."""
+    return per_path_build(*(x[t].tolist() for x in (block.aods_deg, block.aoas_deg, block.gains)),
+                          block.geometry_tx, block.geometry_rx)
+
+
+def same_fields(one, block, t):
+    """The T = 1 realization `one` holds draw t of `block`, to the bit."""
+    pairs = zip((one.aods_deg, one.aoas_deg, one.gains), (block.aods_deg, block.aoas_deg, block.gains))
+    return one.trials == 1 and all(a.tobytes() == b[t:t + 1].tobytes() for a, b in pairs)
 
 
 ANGLES = st.floats(-90.0, 90.0)
 CN_GAINS = st.builds(lambda re, im: complex(re, im) / np.sqrt(2.0),
                      st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
-
-
-@settings(max_examples=300, deadline=None)
-@given(paths=st.lists(st.tuples(ANGLES, ANGLES, CN_GAINS), min_size=1, max_size=6),
-       n=st.integers(1, 40), m=st.integers(1, 12),
-       tx_spacing=st.floats(0.05, 1.0), rx_spacing=st.floats(0.05, 1.0))
-def test_stacked_build_is_the_per_path_build_byte_for_byte(paths, n, m, tx_spacing, rx_spacing):
-    """matrix() and matched_row from the per-side response stacks equal the per-path sum to the bit."""
-    aods, aoas, gains = zip(*paths)
-    ch = ChannelRealization(aods, aoas, gains, ArrayGeometry(n, tx_spacing), ArrayGeometry(m, rx_spacing))
-    h, row = per_path_build(ch)
-    assert ch.matrix().tobytes() == h.tobytes()
-    assert ch.matched_row.tobytes() == row.tobytes()
-
-
-def draw_fields(block, t):
-    """Draw t of a block as a one-draw realization's path fields: (AoDs, AoAs, gains) tuples."""
-    return tuple(tuple(x[t].tolist()) for x in (block.aods_deg, block.aoas_deg, block.gains))
-
-
 PATH_COUNTS = st.integers(1, 6)
 
 
@@ -157,10 +164,11 @@ SIGNED_ZERO_BLOCK = (np.zeros((2, 4)), np.zeros((2, 4)),
        bad=st.tuples(st.integers(0, 7), st.integers(0, 5), BAD_PATH_VALUES))
 @example(paths=SIGNED_ZERO_BLOCK, n=1, m=1, tx_spacing=1.0, rx_spacing=1.0, bad=(0, 0, (0, 90.5)))
 def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing, rx_spacing, bad):
-    """Every draw of a block, its path fields, matrix and matched row, equals the per-draw build to the bit.
+    """Every draw of a block, its path fields, matrix and matched row, equals the T = 1 block and
+    the per-path build of that draw to the bit.
 
     A block with one out-of-range angle or one non-finite gain, in any draw,
-    raises the one-draw ValueError. The explicit example has zero gains, where
+    raises the same ValueError as the T = 1 block. The explicit example has zero gains, where
     a build summed over a path axis differs from the in-order sum in the sign
     of a zero.
     """
@@ -169,13 +177,13 @@ def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing
     h, rows = block.matrix(), block.matched_row
     assert block.trials == len(paths[0]) and h.shape == (block.trials, m, n) and rows.shape == (block.trials, n)
     for t in range(block.trials):
-        one = ChannelRealization(*(tuple(x[t].tolist()) for x in paths), tx, rx)
-        ref_h, ref_row = per_path_build(one)
+        one = ChannelRealization(*(x[t:t + 1] for x in paths), tx, rx)
+        ref_h, ref_row = per_path_build(*(x[t].tolist() for x in paths), tx, rx)
         assert h[t].tobytes() == ref_h.tobytes()
         assert rows[t].tobytes() == ref_row.tobytes()
-        assert one.trials is None and draw_fields(block, t) == (one.aods_deg, one.aoas_deg, one.gains)
-        assert one.matched_row.tobytes() == ref_row.tobytes()
-        assert one.matrix().tobytes() == ref_h.tobytes()
+        assert same_fields(one, block, t)
+        assert one.matched_row[0].tobytes() == ref_row.tobytes()
+        assert one.matrix()[0].tobytes() == ref_h.tobytes()
 
     t, i, (field, value) = bad[0] % block.trials, bad[1] % paths[0].shape[1], bad[2]
     broken = [x.copy() for x in paths]
@@ -186,19 +194,29 @@ def test_block_build_is_the_per_draw_build_byte_for_byte(paths, n, m, tx_spacing
 
 
 def test_block_make_matches_one_draw_make_byte_for_byte():
-    """Batched make_rician / make_single_path store and build what T one-draw calls do."""
+    """Batched make_rician / make_single_path store and build what T calls on one draw each do.
+
+    Draw t is given both as the T = 1 slice x[t:t + 1] and as its own (P,)
+    paths or scalars, which `make_*` promote to the block of one draw.
+    """
     aods, aoas, gains = drawn_paths(np.random.default_rng(8), 4, 300)
     for normalized in (False, True):
         block = make_rician(13.5, aods, aoas, gains, TX8, RX4, nlos_normalized=normalized)
         for t in range(len(gains)):
-            one = make_rician(13.5, aods[t], aoas[t], gains[t], TX8, RX4, nlos_normalized=normalized)
-            assert draw_fields(block, t) == (one.aods_deg, one.aoas_deg, one.gains)
-            assert block.matched_row[t].tobytes() == one.matched_row.tobytes()
+            ref_row = draw_build(block, t)[1]
+            assert block.matched_row[t].tobytes() == ref_row.tobytes()
+            for draw in ((x[t:t + 1] for x in (aods, aoas, gains)), (x[t] for x in (aods, aoas, gains))):
+                one = make_rician(13.5, *draw, TX8, RX4, nlos_normalized=normalized)
+                assert same_fields(one, block, t)
+                assert one.matched_row[0].tobytes() == ref_row.tobytes()
     block = make_single_path(aods[:, 0], aoas[:, 0], gains[:, 0], TX8, RX4)
     for t in range(len(gains)):
-        one = make_single_path(aods[t, 0], aoas[t, 0], gains[t, 0], TX8, RX4)
-        assert draw_fields(block, t) == (one.aods_deg, one.aoas_deg, one.gains)
-        assert block.matched_row[t].tobytes() == one.matched_row.tobytes()
+        ref_row = draw_build(block, t)[1]
+        assert block.matched_row[t].tobytes() == ref_row.tobytes()
+        for draw in ((x[t:t + 1, 0] for x in (aods, aoas, gains)), (x[t, 0] for x in (aods, aoas, gains))):
+            one = make_single_path(*draw, TX8, RX4)
+            assert same_fields(one, block, t)
+            assert one.matched_row.shape == (1, 8) and one.matched_row[0].tobytes() == ref_row.tobytes()
     np.testing.assert_array_equal(block.aod_deg, aods[:, 0])
 
 
@@ -235,6 +253,6 @@ def test_nlos_normalization_option():
     aods, aoas, gains = drawn_paths(np.random.default_rng(12), 4)
     ch = make_rician(13.5, aods, aoas, gains, TX8, RX4, nlos_normalized=True)
     k = 10 ** (13.5 / 10)
-    weights = np.array(ch.gains) / (gains * np.sqrt(8 * 4))
+    weights = ch.gains[0] / (gains * np.sqrt(8 * 4))
     assert weights[0] == pytest.approx(np.sqrt(k / (1 + k)))
     assert weights[1:] == pytest.approx(np.full(3, np.sqrt(1 / (1 + k)) / np.sqrt(3)))

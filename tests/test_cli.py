@@ -1,6 +1,6 @@
 import csv
 import logging
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -82,6 +82,8 @@ def test_bundled_configs_parse():
     assert labels["fig4.cfg"] == ["two_stage_9", "gob_16", "gob_abp_16"]
     assert labels["fig5.cfg"] == labels["fig6.cfg"] == [
         "two_stage_16", "gob_16", "gob_32", "gob_abp_16", "gob_abp_32"]
+    # the channel-block bound admits the N = 256 overhead runs
+    assert replace(load_config(bundled_config("fig6.cfg")), n_tot=256).n_tot == 256
 
 
 # A non-default value for every ExperimentConfig field: field -> (section, key, text, value)
@@ -179,6 +181,13 @@ SMALL_RUN = "[experiment]\n"
     ("[estimators]\ngob = 1" + "0" * 30 + "\n", "gob"),
     ("[estimators]\ngob_abp = 1" + "0" * 30 + "\n", "gob_abp"),
     (f"[estimators]\ngob = {_MAX_BEAMS + 1}\n", "gob"),
+    # a channel block's (500, m_tot, n_tot) matrix or (500, num_paths, n_tot + m_tot) responses above 2**24 values
+    ("n_tot = 1000000000000\n", "n_tot"),
+    ("n_tot = 1" + "0" * 400 + "\n", "n_tot"),  # too large for a float
+    ("m_tot = 1000000000000\n", "m_tot"),
+    ("n_tot = 4195\nm_tot = 8\n", "n_tot"),  # 500 x 8 x 4195 = 16780000, just above 2**24
+    ("trials = 3\n[channel]\nkind = rician\nnum_paths = 1000000000000\n", "num_paths"),
+    ("n_tot = 256\n[channel]\nkind = rician\nnum_paths = 128\n", "num_paths"),  # 500 x 128 x 264
 ], ids=["gob-zero", "gob_abp-half-pi", "two_stage-pi", "tx_spacing-aliased", "empty-snr-grid",
         "n_tot-zero", "m_tot-zero", "tx_spacing-zero", "rx_spacing-negative", "two_stage-no-sidelobe",
         "n_rf-even", "n_rf-zero-without-two-stage", "trials-beyond-uint32", "trials-errors-beyond-2GiB",
@@ -186,7 +195,9 @@ SMALL_RUN = "[experiment]\n"
         "aod-prior-zero-width", "gob_abp-half-width-underflow", "gob_abp-one-ulp-prior",
         "nonadequate_k-zero", "nonadequate_k-negative", "nonadequate_k-nan", "nonadequate_k-inf",
         "snr-grid-repeated", "aod-prior-reversed", "aoa-prior-beyond-90", "no-estimators",
-        "two_stage-beyond-float", "gob-1e30", "gob_abp-1e30", "gob-above-bound"])
+        "two_stage-beyond-float", "gob-1e30", "gob_abp-1e30", "gob-above-bound",
+        "n_tot-1e12", "n_tot-beyond-float", "m_tot-1e12", "n_tot-above-block-bound", "num_paths-1e12",
+        "num_paths-above-block-bound"])
 def test_run_rejects_unrunnable_config_at_load(tmp_path, caplog, extra, key):
     path = tmp_path / "bad.cfg"
     path.write_text(SMALL_RUN + extra)

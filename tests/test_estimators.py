@@ -39,7 +39,7 @@ def test_sound_noiseless_matched_beams():
     g = 0.8 - 0.3j
     ch = make_single_path(17.0, -42.0, g, TX16, RX8)
     tx = steering(angle_to_spatial(17.0, TX16), TX16)
-    y = _sound(ch.matched_row, tx[:, None], 4.0, None)
+    y = _sound(ch.matched_row[0], tx[:, None], 4.0, None)
     alpha = g * np.sqrt(16 * 8)
     assert y.shape == (1,)
     assert y[0] == pytest.approx(2.0 * alpha, rel=1e-12)
@@ -48,7 +48,7 @@ def test_sound_noiseless_matched_beams():
 def test_sound_orthogonal_beam_is_null():
     ch = make_single_path(0.0, 0.0, 1.0, TX16, RX8)
     tx = steering(2 * np.pi / 16, TX16)
-    assert abs(_sound(ch.matched_row, tx[:, None], 4.0, None)[0]) < 1e-12
+    assert abs(_sound(ch.matched_row[0], tx[:, None], 4.0, None)[0]) < 1e-12
 
 
 def test_sound_zero_snr_noise_variance():
@@ -56,14 +56,14 @@ def test_sound_zero_snr_noise_variance():
     ch = make_single_path(0.0, 0.0, 1.0, ArrayGeometry(2), ArrayGeometry(2))
     beams = np.repeat(steering(0.0, ArrayGeometry(2))[:, None], 100_000, axis=1)
     noise = _cn(np.random.default_rng(123), 1, 100_000)[0]
-    samples = _sound(ch.matched_row, beams, 0.0, noise)
+    samples = _sound(ch.matched_row[0], beams, 0.0, noise)
     assert np.array_equal(samples, noise)
     assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.02)
     assert np.mean(samples.real ** 2) == pytest.approx(0.5, rel=0.02)
 
 
 def test_sound_adds_one_noise_sample_per_sounding():
-    row = make_single_path(12.0, -30.0, 0.6 + 0.2j, TX16, RX8).matched_row
+    row = make_single_path(12.0, -30.0, 0.6 + 0.2j, TX16, RX8).matched_row[0]
     beams = steering_matrix([-0.4, 0.1, 0.7], TX16)
     noise = np.array([0.3 - 0.1j, -1.2j, 0.5])
     assert np.array_equal(_sound(row, beams, 3.0, noise), np.sqrt(3.0) * (row @ beams) + noise)
@@ -294,7 +294,7 @@ def test_two_stage_noiseless_exact(widebeams16):
     rng = np.random.default_rng(3)
     for theta in rng.uniform(-50.0, 50.0, 200):
         ch = make_single_path(theta, rng.uniform(-90, 90), 1.0, TX16, RX8)
-        report = estimate_two_stage(ch.matched_row, widebeams16, 100.0, None)
+        report = estimate_two_stage(ch.matched_row[0], widebeams16, 100.0, None)
         assert abs(angle_to_spatial(report.estimate_deg, TX16) - angle_to_spatial(theta, TX16)) < 1e-6
         assert abs(report.ratio_metric) <= 1.0
 
@@ -302,14 +302,14 @@ def test_two_stage_noiseless_exact(widebeams16):
 def test_two_stage_budget_32():
     cb = build_widebeam_codebook((-50.0, 50.0), TX32, num_beams=14)
     ch = make_single_path(10.0, 0.0, 1.0, TX32, RX8)
-    estimate_two_stage(ch.matched_row, cb, 10.0, _cn(np.random.default_rng(0), 1, 16)[0])
+    estimate_two_stage(ch.matched_row[0], cb, 10.0, _cn(np.random.default_rng(0), 1, 16)[0])
     with pytest.raises(ValueError, match="noise"):  # J + 2 = 16 samples, not 15
-        estimate_two_stage(ch.matched_row, cb, 10.0, np.zeros(15, complex))
+        estimate_two_stage(ch.matched_row[0], cb, 10.0, np.zeros(15, complex))
 
 
 def test_two_stage_degenerate_falls_back_to_boresight(widebeams16):
     ch = make_single_path(0.0, 0.0, 1.0, TX16, RX8)
-    report = estimate_two_stage(ch.matched_row, widebeams16, 0.0, None)  # all powers exactly zero
+    report = estimate_two_stage(ch.matched_row[0], widebeams16, 0.0, None)  # all powers exactly zero
     assert report.ratio_metric == 0.0
     assert report.estimate_deg == spatial_to_angle(widebeams16.boresights[report.stage1_selection], TX16)
 
@@ -317,7 +317,7 @@ def test_two_stage_degenerate_falls_back_to_boresight(widebeams16):
 def test_gob_exact_on_boresight(narrow16):
     theta = spatial_to_angle(narrow16.boresights[5], TX16)
     ch = make_single_path(theta, 20.0, 1.0, TX16, RX8)
-    report = estimate_gob(ch.matched_row, narrow16, 50.0, None)
+    report = estimate_gob(ch.matched_row[0], narrow16, 50.0, None)
     assert report.estimate_deg == pytest.approx(theta, abs=1e-12)
 
 
@@ -332,14 +332,14 @@ def test_gob_noiseless_floor_matches_quadrature(narrow16):
     errs = []
     for theta in rng.uniform(-50.0, 50.0, 1000):
         ch = make_single_path(theta, rng.uniform(-90, 90), 1.0, TX16, RX8)
-        errs.append(abs(theta - estimate_gob(ch.matched_row, narrow16, 100.0, None).estimate_deg))
+        errs.append(abs(theta - estimate_gob(ch.matched_row[0], narrow16, 100.0, None).estimate_deg))
     assert np.mean(errs) == pytest.approx(oracle, rel=0.03)
 
 
 def test_gob_abp_exact_at_pair_midpoint(narrow16):
     mid = 0.5 * (narrow16.boresights[7] + narrow16.boresights[8])
     ch = make_single_path(spatial_to_angle(mid, TX16), 0.0, 1.0, TX16, RX8)
-    report = estimate_gob_abp(ch.matched_row, narrow16, 100.0, None)
+    report = estimate_gob_abp(ch.matched_row[0], narrow16, 100.0, None)
     assert report.ratio_metric == pytest.approx(0.0, abs=1e-9)
     assert angle_to_spatial(report.estimate_deg, TX16) == pytest.approx(mid, abs=1e-9)
 
@@ -349,14 +349,14 @@ def test_gob_abp_beats_gob_noiseless(narrow16):
     gob_errs, abp_errs = [], []
     for theta in rng.uniform(-50.0, 50.0, 1000):
         ch = make_single_path(theta, rng.uniform(-90, 90), 1.0, TX16, RX8)
-        gob_errs.append(abs(theta - estimate_gob(ch.matched_row, narrow16, 100.0, None).estimate_deg))
-        abp_errs.append(abs(theta - estimate_gob_abp(ch.matched_row, narrow16, 100.0, None).estimate_deg))
+        gob_errs.append(abs(theta - estimate_gob(ch.matched_row[0], narrow16, 100.0, None).estimate_deg))
+        abp_errs.append(abs(theta - estimate_gob_abp(ch.matched_row[0], narrow16, 100.0, None).estimate_deg))
     assert np.mean(abp_errs) < np.mean(gob_errs)
 
 
 def test_gob_abp_edge_uses_single_neighbor(narrow16):
     ch = make_single_path(-49.9, 0.0, 1.0, TX16, RX8)
-    report = estimate_gob_abp(ch.matched_row, narrow16, 100.0, None)
+    report = estimate_gob_abp(ch.matched_row[0], narrow16, 100.0, None)
     assert report.stage1_selection == 0
     assert -50.5 < report.estimate_deg < -40.0
 
@@ -366,6 +366,6 @@ def test_ratio_metric_bounded_on_noisy_trials(widebeams16):
     for _ in range(300):
         ch = make_single_path(rng.uniform(-50, 50), rng.uniform(-90, 90),
                               complex(*rng.standard_normal(2)) / np.sqrt(2), TX16, RX8)
-        report = estimate_two_stage(ch.matched_row, widebeams16, 1.0, _cn(rng, 1, 9)[0])
+        report = estimate_two_stage(ch.matched_row[0], widebeams16, 1.0, _cn(rng, 1, 9)[0])
         assert abs(report.ratio_metric) <= 1.0
         assert abs(report.estimate_deg) <= 90.0
