@@ -89,9 +89,9 @@ class WidebeamCodebook:
         return _read_only(np.stack([b.combined for b in self.beams], axis=1))
 
     @cached_property
-    def pairs(self) -> tuple:
-        """Per beam j, its auxiliary beam pair (`build_abp`)."""
-        return tuple(build_abp(b.boresight, self.half_width, self.geometry) for b in self.beams)
+    def pairs(self) -> np.ndarray:
+        """The auxiliary beam pairs, shape (J, N, 2): `pairs[j]` is beam j's `build_abp` array."""
+        return _read_only(np.stack([build_abp(b.boresight, self.half_width, self.geometry) for b in self.beams]))
 
 
 @dataclass(frozen=True, eq=False)

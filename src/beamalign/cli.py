@@ -29,6 +29,7 @@ from .beams import (
     write_pattern_csv,
 )
 from .montecarlo import (
+    _MAX_BEAMS,
     ESTIMATOR_KINDS,
     EstimatorSpec,
     ExperimentConfig,
@@ -42,6 +43,12 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SYNTHESIS = 3
 EXIT_IO = 4
+# bound on --n-tot: synthesis fits a widebeam on 16 N points through one
+# (N, 16 N) complex128 steering matrix, 16 * 1024**2 values (256 MiB) at N = 1024
+_MAX_N_TOT = 1024
+# bound on N x --grid-points: a pattern is one (N, grid points) complex128
+# steering matrix, and its conjugate, of at most 2**24 values (256 MiB) each
+_MAX_PATTERN_VALUES = 2 ** 24
 
 
 def bundled_config(name: str):
@@ -134,6 +141,12 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _check_size(flag: str, value: int, high: int) -> None:
+    """Raise ValueError naming `flag` unless 1 <= value <= high."""
+    if not 1 <= value <= high:
+        raise ValueError(f"{flag} must be >= 1, got {value}" if value < 1 else f"{flag} must be <= {high}, got {value}")
+
+
 def _half_width_gate(delta: float, args, flag: str) -> None:
     """Raise ValueError unless half width delta is adequate (or allowed) and synthesizable, naming `flag`."""
     if not is_adequate(delta, args.n_tot)[0]:
@@ -149,9 +162,8 @@ def _half_width_gate(delta: float, args, flag: str) -> None:
 def _cmd_pattern(args) -> int:
     if args.half_width_k < 1:
         raise ValueError(f"--half-width-k must be a positive integer, got {args.half_width_k}")
-    for flag, value in (("--n-tot", args.n_tot), ("--grid-points", args.grid_points)):
-        if value < 1:
-            raise ValueError(f"{flag} must be >= 1, got {value}")
+    _check_size("--n-tot", args.n_tot, _MAX_N_TOT)
+    _check_size("--grid-points", args.grid_points, _MAX_PATTERN_VALUES // args.n_tot)
     geom = ArrayGeometry(args.n_tot)
     delta = args.half_width_k * args.delta_scale * np.pi / args.n_tot
     if not 0 < delta < np.inf:
@@ -166,8 +178,9 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_codebook(args) -> int:
-    if args.n_tot < 1:
-        raise ValueError(f"--n-tot must be >= 1, got {args.n_tot}")
+    _check_size("--n-tot", args.n_tot, _MAX_N_TOT)
+    if args.num_beams is not None:
+        _check_size("--num-beams", args.num_beams, _MAX_BEAMS)
     span = (args.span_lo_deg, args.span_hi_deg)
     geom = ArrayGeometry(args.n_tot)
     width = angle_to_spatial(span[1], geom) - angle_to_spatial(span[0], geom)

@@ -4,12 +4,14 @@ grid-of-beams, and grid-of-beams with pairwise ratio refinement.
 One sounding transmits a unit symbol through a precoder and combines with a
 unit-norm receive vector: y = sqrt(rho) * w^H H f + w^H n with n ~ CN(0, I).
 For a unit-norm w and fresh n per sounding, w^H n is exactly CN(0, 1) and
-independent across soundings, so each estimator takes one complex noise
-sample per sounding from its caller (None: noiseless) and draws nothing.
-The receiver always steers at the true arrival angle of the dominant path,
-so an estimator sees the channel only through its receive row rx^H H, an
-(N,) array: row t of a realization's (T, N) `matched_row` (see `channel`),
-which the engine passes per draw; a single draw's row is `matched_row[0]`.
+independent across soundings, so sounding takes one complex noise sample per
+sounding from its caller (None: noiseless) and draws nothing. The receiver
+always steers at the true arrival angle of the dominant path, so sounding
+sees the channel only through the receive rows rx^H H, a block's (T, N)
+`matched_row` (see `channel`). `sound` is the one sounding kernel, and
+`sound_codebook` makes every sounding of an estimator entry for a whole
+block. Each estimator infers one draw from its received powers: row t of
+each array `sound_codebook` returns.
 The pair stage forms the ratio (chi_minus - chi_plus) / (chi_minus + chi_plus)
 of the two beam powers and inverts its closed form to the off-center angle.
 A pair total at most PAIR_NULL_FRACTION of the strongest sweep power is a
@@ -54,32 +56,41 @@ class EstimationReport:
     ratio_metric: float
 
 
-def _sound(row: np.ndarray, beams: np.ndarray, snr: float, noise) -> np.ndarray:
-    """Received samples y = sqrt(snr) * row @ f + n for every column f of `beams`.
+def sound(rows: np.ndarray, beams: np.ndarray, snr: float, noise) -> np.ndarray:
+    """Received powers |sqrt(snr) * rows[t] @ f + noise[t]|**2 of a block, shape (T, K).
 
-    `row` is the receive row h_row = rx^H H of one channel draw, with the
-    combiner rx steered at the arrival angle of the dominant path, so every
-    estimator sounding that draw shares it. `noise` holds the combined noise
-    rx^H n of each sounding, one CN(0, 1) sample per column; None models
-    noiseless sounding.
+    `rows` holds the block's (T, N) receive rows, and `beams` is one (N, K)
+    set for every draw or a (T, N, K) set per draw. `noise` holds one CN(0, 1)
+    sample per draw and sounding, (T, K), or is None for noiseless sounding.
+    The stacked product gives each row the bytes of its own `rows[t] @ f`.
     """
-    if np.shape(row) != beams.shape[:1]:
-        raise ValueError(f"need one receive row of shape ({beams.shape[0]},), got shape {np.shape(row)}")
-    y = math.sqrt(snr) * (row @ beams)
-    if noise is None:
-        return y
-    if np.shape(noise) != y.shape:
-        raise ValueError(f"need one noise sample per sounding: {y.shape[0]} soundings, "
-                         f"noise of shape {np.shape(noise)}")
-    y += noise
-    return y
-
-
-def _powers(row: np.ndarray, beams: np.ndarray, snr: float, noise) -> np.ndarray:
-    """Received powers |y|**2 of `_sound`, one per column of `beams`."""
-    chi = np.abs(_sound(row, beams, snr, noise))
+    shape, n = np.shape(rows), beams.shape[-2]
+    if len(shape) != 2 or shape[1] != n:
+        raise ValueError(f"need receive rows of shape (T, {n}), got shape {shape}")
+    if beams.ndim != 2 and beams.shape[0] != shape[0]:
+        raise ValueError(f"need beams of shape ({n}, K) or ({shape[0]}, {n}, K), got shape {beams.shape}")
+    y = math.sqrt(snr) * np.matmul(rows[:, None, :], beams)[:, 0]
+    if noise is not None:
+        if np.shape(noise) != y.shape:
+            raise ValueError(f"need one noise sample per sounding, shape {y.shape}, got shape {np.shape(noise)}")
+        y += noise
+    chi = np.abs(y)
     chi *= chi
     return chi
+
+
+def sound_codebook(rows: np.ndarray, codebook, snr: float, noise) -> tuple:
+    """Every sounding of one estimator entry for a block: its (T, K) power arrays, in argument order.
+
+    A `SteeringCodebook` sweeps once: (chi,). A `WidebeamCodebook` sweeps with noise[:, :J],
+    then the pair on each draw's strongest beam with noise[:, J:]: (chi1, chi_pair).
+    """
+    if isinstance(codebook, SteeringCodebook):
+        return (sound(rows, codebook.matrix, snr, noise),)
+    j = codebook.num_beams
+    stage1, stage2 = (None, None) if noise is None else (noise[:, :j], noise[:, j:])
+    chi1 = sound(rows, codebook.matrix, snr, stage1)
+    return chi1, sound(rows, codebook.pairs[chi1.argmax(axis=1)], snr, stage2)
 
 
 def ratio_metric(chi_minus: float, chi_plus: float) -> float:
@@ -172,42 +183,33 @@ def _report(mu_hat: float, geometry, selection: int, zeta: float = 0.0) -> Estim
                             ratio_metric=zeta)
 
 
-def estimate_two_stage(row: np.ndarray, codebook: WidebeamCodebook,
-                       snr: float, noise) -> EstimationReport:
+def estimate_two_stage(chi1: np.ndarray, chi_pair: np.ndarray, codebook: WidebeamCodebook) -> EstimationReport:
     """Widebeam sweep to pick a sector, then pair ratio inversion inside it.
 
-    Stage 1 sounds every widebeam once and keeps the strongest. Stage 2 sounds
-    the two steering beams on the selected beam's edges and inverts the power
-    ratio. Uses J + 2 soundings for a J-beam codebook; `noise` holds the J
-    stage-1 samples, then the two stage-2 samples.
+    `chi1` holds one draw's J widebeam powers and `chi_pair` the two powers
+    of the pair on the strongest one's edges (`sound_codebook`, J + 2
+    soundings); the pair's power ratio is inverted inside that sector.
     """
-    j = codebook.num_beams
-    stage1, stage2 = (None, None) if noise is None else (noise[:j], noise[j:])
-    chi1 = _powers(row, codebook.matrix, snr, stage1)
     j_max = int(chi1.argmax())
     gamma = float(codebook.boresights[j_max])
-    chi_minus, chi_plus = _powers(row, codebook.pairs[j_max], snr, stage2).tolist()
+    chi_minus, chi_plus = chi_pair.tolist()
     zeta, mu_hat = _refine(chi_minus, chi_plus, codebook.half_width, gamma, float(chi1[j_max]))
     return _report(mu_hat, codebook.geometry, j_max, zeta)
 
 
-def estimate_gob(row: np.ndarray, codebook: SteeringCodebook,
-                 snr: float, noise) -> EstimationReport:
-    """Sound every narrow beam once; the strongest beam's boresight is the estimate."""
-    best = int(_powers(row, codebook.matrix, snr, noise).argmax())
+def estimate_gob(chi: np.ndarray, codebook: SteeringCodebook) -> EstimationReport:
+    """The strongest of one draw's narrow-beam powers `chi`: its boresight is the estimate."""
+    best = int(chi.argmax())
     return _report(float(codebook.boresights[best]), codebook.geometry, best)
 
 
-def estimate_gob_abp(row: np.ndarray, codebook: SteeringCodebook,
-                     snr: float, noise) -> EstimationReport:
+def estimate_gob_abp(chi: np.ndarray, codebook: SteeringCodebook) -> EstimationReport:
     """Narrow-beam sweep refined by the power ratio of the two strongest neighbors.
 
-    Pairs the strongest beam with its larger-power neighbor (the single
-    available one at the codebook edges) and inverts at that pair's stored
-    center and half width (`SteeringCodebook.pair_geometry`). Reuses the sweep
-    powers, so the budget equals the codebook size.
+    Pairs the strongest of one draw's sweep powers `chi` with its larger
+    neighbor (the only one at a codebook edge) and inverts at that pair's
+    `SteeringCodebook.pair_geometry`; the budget is the codebook size.
     """
-    chi = _powers(row, codebook.matrix, snr, noise)
     best = int(chi.argmax())
     neighbors = [i for i in (best - 1, best + 1) if 0 <= i < codebook.num_beams]
     if not neighbors:

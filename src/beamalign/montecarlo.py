@@ -20,11 +20,11 @@ So a trial's draws depend on neither `trials` nor the worker count, and
 results are bit-identical for any execution order.
 
 A block's channels are one realization of `count` draws (see `channel`,
-where every realization is a block): one `make_*` draw, one (count, M, N)
-`matrix()` and one stacked matched-row product for the block, while every
-cell still makes one `estimate_*` call, on row t of the block's matched
-rows. `channel` states why each row is byte for byte the one a per-trial
-build gives, which keeps contract v2.
+where every realization is a block), and each estimator entry sounds the
+whole block at once (`estimators.sound_codebook`). Every cell still makes
+one `estimate_*` call, which infers draw t from row t of the entry's
+powers. `channel` and `estimators.sound` state why each row is byte for
+byte the one a per-trial build and sounding give, which keeps contract v2.
 """
 
 import csv
@@ -41,7 +41,7 @@ from ._version import __version__
 from .arrays import ArrayGeometry, angle_to_spatial
 from .beams import build_steering_codebook, build_widebeam_codebook, check_half_width, check_n_rf, widebeam_grid
 from .channel import make_rician, make_single_path
-from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage
+from .estimators import estimate_gob, estimate_gob_abp, estimate_two_stage, sound_codebook
 
 _ESTIMATE = {
     "two_stage": estimate_two_stage,
@@ -278,13 +278,14 @@ def _block_errors(ws, config, snr_index, block, count):
                                nlos_normalized=config.nlos_normalized)
     else:
         channels = make_single_path(aods[:, 0], aoas[:, 0], gains[:, 0], ws.geometry_tx, ws.geometry_rx)
-    entries = [(_ESTIMATE[spec.kind], codebook,
-                _cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings))
-               for ei, (spec, codebook) in enumerate(zip(config.estimators, ws.codebooks))]
     snr = 10.0 ** (config.snr_grid_db[snr_index] / 10.0)
-    draws = enumerate(zip(channels.aod_deg.tolist(), channels.matched_row))
-    return np.array([[abs(truth - estimate(row, codebook, snr, noise[t]).estimate_deg)
-                      for estimate, codebook, noise in entries] for t, (truth, row) in draws], dtype=float)
+    estimates = np.empty((count, len(config.estimators)))
+    for ei, (spec, codebook) in enumerate(zip(config.estimators, ws.codebooks)):
+        estimate = _ESTIMATE[spec.kind]
+        noise = _cn(_stream(config.master_seed, ei + 1, snr_index, block), count, spec.soundings)
+        powers = sound_codebook(channels.matched_row, codebook, snr, noise)
+        estimates[:, ei] = [estimate(*draw, codebook).estimate_deg for draw in zip(*powers)]
+    return np.abs(channels.aod_deg[:, None] - estimates)
 
 
 def _run_block(args):

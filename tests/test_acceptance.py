@@ -27,6 +27,7 @@ from beamalign import (
     write_results_csv,
 )
 from beamalign.cli import bundled_config, load_config
+from beamalign.estimators import sound_codebook
 from beamalign.montecarlo import _workspace
 
 
@@ -119,6 +120,11 @@ def test_c02_ratio_metric_round_trip():
         assert time.perf_counter() - start < 1.0
 
 
+def noiseless_estimate(estimator, channel, codebook):
+    """Sound the T = 1 block `channel` without noise at SNR 100, then estimate its one draw."""
+    return estimator(*(chi[0] for chi in sound_codebook(channel.matched_row, codebook, 100.0, None)), codebook)
+
+
 def test_c03_noiseless_exactness():
     with criterion("C03", "noiseless two-stage exactness and per-angle dominance"):
         start = time.perf_counter()
@@ -129,8 +135,8 @@ def test_c03_noiseless_exactness():
         two_errs, gob_errs = [], []
         for theta in rng.uniform(-50.0, 50.0, 1000):
             ch = make_single_path(theta, rng.uniform(-90.0, 90.0), 1.0, tx, rx)
-            two_errs.append(abs(theta - estimate_two_stage(ch.matched_row[0], widebeams, 100.0, None).estimate_deg))
-            gob_errs.append(abs(theta - estimate_gob(ch.matched_row[0], narrow, 100.0, None).estimate_deg))
+            two_errs.append(abs(theta - noiseless_estimate(estimate_two_stage, ch, widebeams).estimate_deg))
+            gob_errs.append(abs(theta - noiseless_estimate(estimate_gob, ch, narrow).estimate_deg))
         two_errs, gob_errs = np.array(two_errs), np.array(gob_errs)
         assert two_errs.mean() < 1e-3, f"mean noiseless error {two_errs.mean():.3e} deg"
         assert np.all(two_errs <= gob_errs)
@@ -146,7 +152,7 @@ def test_c03_noiseless_exact_at_every_boresight(n, k):
         for gamma in widebeams.boresights:
             theta = spatial_to_angle(float(gamma), tx)
             ch = make_single_path(theta, 20.0, 1.0, tx, rx)
-            err = abs(theta - estimate_two_stage(ch.matched_row[0], widebeams, 100.0, None).estimate_deg)
+            err = abs(theta - noiseless_estimate(estimate_two_stage, ch, widebeams).estimate_deg)
             assert err < 1e-9, f"error {err:.3e} deg at boresight {theta:.4f} deg"
 
 

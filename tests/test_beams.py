@@ -365,6 +365,16 @@ def test_build_abp():
         build_abp(0.0, 0.0, GEOM16)
 
 
+def test_codebook_pairs_are_one_stacked_read_only_array():
+    """`pairs` stacks each beam's `build_abp` pair into one (J, N, 2) array, so the engine gathers it by index."""
+    cb = build_widebeam_codebook((-50.0, 50.0), GEOM32, num_beams=14)
+    assert cb.pairs.shape == (14, 32, 2)
+    assert not cb.pairs.flags.writeable
+    assert cb.pairs is cb.pairs
+    for j, beam in enumerate(cb.beams):
+        assert cb.pairs[j].tobytes() == build_abp(beam.boresight, cb.half_width, GEOM32).tobytes()
+
+
 def test_pattern_csv_export(tmp_path):
     beam = synthesize_widebeam(0.0, 2 * np.pi / 16, 5, GEOM16)
     path = tmp_path / "pattern.csv"

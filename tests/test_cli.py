@@ -382,11 +382,21 @@ def test_codebook_synthesis_failure_exits_3(tmp_path):
     (["codebook", "--delta-scale", "5e-324", "--allow-nonadequate"], "delta_scale = 5e-324"),
     (["codebook", "--span-lo-deg", "0", "--span-hi-deg", "-1", "--k", "3", "--delta-scale", "5e-324"],
      "empty span"),
+    # size flags past their bounds, rejected before any array is built
+    (["codebook", "--n-tot", "1000000000000"], "--n-tot must be <= 1024, got 1000000000000"),
+    (["codebook", "--n-tot", "1025"], "--n-tot must be <= 1024, got 1025"),
+    (["codebook", "--n-tot", "16", "--num-beams", "1000000000000"], "--num-beams must be <= 4096, got 1000000000000"),
+    (["codebook", "--num-beams", "4097"], "--num-beams must be <= 4096, got 4097"),
+    (["pattern", "--n-tot", "1000000000000"], "--n-tot must be <= 1024, got 1000000000000"),
+    (["pattern", "--n-tot", "16", "--grid-points", "100000000000"],
+     "--grid-points must be <= 1048576, got 100000000000"),
+    (["pattern", "--n-tot", "1024", "--grid-points", "16385"], "--grid-points must be <= 16384, got 16385"),
 ], ids=["codebook-delta-scale-0", "codebook-k0", "codebook-delta-scale-inf", "codebook-delta-scale-nan",
         "pattern-delta-scale-inf", "pattern-delta-scale-0", "pattern-n-tot-0", "codebook-n-tot-0",
         "pattern-boresight-nan", "codebook-span-nan",
         "codebook-1e-300-beams", "codebook-123-beams", "codebook-99-beams", "codebook-subnormal-delta",
-        "codebook-reversed-span"])
+        "codebook-reversed-span", "codebook-n-tot-1e12", "codebook-n-tot-1025", "codebook-num-beams-1e12",
+        "codebook-num-beams-4097", "pattern-n-tot-1e12", "pattern-grid-points-1e11", "pattern-grid-points-16385"])
 def test_bad_half_width_or_angle_exits_2(tmp_path, caplog, args, named):
     out = tmp_path / "x.csv"
     with caplog.at_level(logging.ERROR):

@@ -21,7 +21,7 @@ from beamalign import (
     steering,
     steering_matrix,
 )
-from beamalign.estimators import PAIR_NULL_FRACTION, POWER_FLOOR, _refine, _sound
+from beamalign.estimators import PAIR_NULL_FRACTION, POWER_FLOOR, _refine, sound, sound_codebook
 from beamalign.montecarlo import _cn
 
 TX16 = ArrayGeometry(16)
@@ -35,56 +35,87 @@ def closed_form_ratio(mu, gamma, delta):
 
 # --- sounding ---------------------------------------------------------------
 
+def infer(estimator, rows, codebook, snr, noise):
+    """Sound a T = 1 block of receive rows (1, N) with noise (1, J) or None, then estimate its one draw."""
+    return estimator(*(chi[0] for chi in sound_codebook(rows, codebook, snr, noise)), codebook)
+
+
 def test_sound_noiseless_matched_beams():
     g = 0.8 - 0.3j
-    ch = make_single_path(17.0, -42.0, g, TX16, RX8)
-    tx = steering(angle_to_spatial(17.0, TX16), TX16)
-    y = _sound(ch.matched_row[0], tx[:, None], 4.0, None)
     alpha = g * np.sqrt(16 * 8)
-    assert y.shape == (1,)
-    assert y[0] == pytest.approx(2.0 * alpha, rel=1e-12)
+    aods = np.array([17.0, -5.0, 33.0])
+    for ch, beams in ((make_single_path(17.0, -42.0, g, TX16, RX8),
+                       steering(angle_to_spatial(17.0, TX16), TX16)[:, None]),
+                      (make_single_path(aods, [-42.0, 10.0, 0.0], [g] * 3, TX16, RX8),
+                       steering_matrix(angle_to_spatial(aods, TX16), TX16).T[:, :, None])):
+        chi = sound(ch.matched_row, beams, 4.0, None)
+        assert chi.shape == (ch.trials, 1)
+        assert chi == pytest.approx(np.full((ch.trials, 1), abs(2.0 * alpha) ** 2), rel=1e-12)
 
 
 def test_sound_orthogonal_beam_is_null():
-    ch = make_single_path(0.0, 0.0, 1.0, TX16, RX8)
     tx = steering(2 * np.pi / 16, TX16)
-    assert abs(_sound(ch.matched_row[0], tx[:, None], 4.0, None)[0]) < 1e-12
+    for aoas in ([0.0], [0.0, 40.0, -70.0]):
+        ch = make_single_path(np.zeros(len(aoas)), aoas, np.ones(len(aoas)), TX16, RX8)
+        assert np.all(sound(ch.matched_row, tx[:, None], 4.0, None) < 1e-24)
 
 
 def test_sound_zero_snr_noise_variance():
-    # with rho = 0 every sample is the given noise; the engine's CN(0, 1) draw has unit variance
-    ch = make_single_path(0.0, 0.0, 1.0, ArrayGeometry(2), ArrayGeometry(2))
-    beams = np.repeat(steering(0.0, ArrayGeometry(2))[:, None], 100_000, axis=1)
-    noise = _cn(np.random.default_rng(123), 1, 100_000)[0]
-    samples = _sound(ch.matched_row[0], beams, 0.0, noise)
-    assert np.array_equal(samples, noise)
-    assert np.mean(np.abs(samples) ** 2) == pytest.approx(1.0, rel=0.02)
-    assert np.mean(samples.real ** 2) == pytest.approx(0.5, rel=0.02)
+    # with rho = 0 every power is the given noise's; the engine's CN(0, 1) draw has unit variance
+    for trials in (1, 2):
+        ch = make_single_path(np.zeros(trials), np.zeros(trials), np.ones(trials), ArrayGeometry(2), ArrayGeometry(2))
+        beams = np.repeat(steering(0.0, ArrayGeometry(2))[:, None], 100_000, axis=1)
+        noise = _cn(np.random.default_rng(123), trials, 100_000)
+        chi = sound(ch.matched_row, beams, 0.0, noise)
+        assert np.array_equal(chi, np.abs(noise) ** 2)
+        assert np.mean(chi) == pytest.approx(1.0, rel=0.02)
+        assert np.mean(noise.real ** 2) == pytest.approx(0.5, rel=0.02)
 
 
 def test_sound_adds_one_noise_sample_per_sounding():
-    row = make_single_path(12.0, -30.0, 0.6 + 0.2j, TX16, RX8).matched_row[0]
     beams = steering_matrix([-0.4, 0.1, 0.7], TX16)
-    noise = np.array([0.3 - 0.1j, -1.2j, 0.5])
-    assert np.array_equal(_sound(row, beams, 3.0, noise), np.sqrt(3.0) * (row @ beams) + noise)
-    for bad in (noise[:2], noise[:1], np.ones(4)):  # a short row must not broadcast
-        with pytest.raises(ValueError, match="one noise sample per sounding"):
-            _sound(row, beams, 3.0, bad)
+    noise = np.array([[0.3 - 0.1j, -1.2j, 0.5], [0.2, 1.5 + 0.5j, -0.7j]])
+    for trials in (1, 2):
+        rows = make_single_path([12.0, -20.0][:trials], [-30.0, 5.0][:trials], [0.6 + 0.2j, 1.1][:trials],
+                                TX16, RX8).matched_row
+        expected = [np.abs(np.sqrt(3.0) * (rows[t] @ beams) + noise[t]) ** 2 for t in range(trials)]
+        assert np.array_equal(sound(rows, beams, 3.0, noise[:trials]), expected)
+        # a short or 1-D noise array must not broadcast
+        for bad in (noise[:trials, :2], noise[:trials, :1], np.ones((trials, 4)), noise[0], noise[:trials - 1]):
+            with pytest.raises(ValueError, match="one noise sample per sounding"):
+                sound(rows, beams, 3.0, bad)
 
 
 def test_sound_rejects_a_row_that_is_not_one_vector_of_the_beams_length(widebeams16, narrow16):
-    """A block's (T, N) rows, or a row of another array's length, fail where they enter, naming (N,)."""
+    """Receive rows that are not (T, N) for the beams' N, or per-draw beams of another T, fail where they enter."""
     aods = np.array([[10.0], [-20.0], [35.0]])
     block_rows = make_rician(13.5, aods, -aods, np.ones((3, 1)), TX16, RX8).matched_row
     beams = steering_matrix([-0.4, 0.1, 0.7], TX16)
-    for bad in (block_rows, block_rows[0, :15], np.ones(17, complex), block_rows[:1], 1.0):
-        for noise in (None, np.zeros(3, complex)):
-            with pytest.raises(ValueError, match=r"receive row of shape \(16,\)"):
-                _sound(bad, beams, 3.0, noise)
-    for estimate, codebook in ((estimate_two_stage, widebeams16), (estimate_gob, narrow16),
-                               (estimate_gob_abp, narrow16)):
-        with pytest.raises(ValueError, match=r"receive row of shape \(16,\)"):
-            estimate(block_rows, codebook, 100.0, None)
+    for bad in (block_rows[0], block_rows[:, :15], np.ones((3, 17), complex), block_rows[None], 1.0):
+        for noise in (None, np.zeros((3, 3), complex)):
+            with pytest.raises(ValueError, match=r"receive rows of shape \(T, 16\)"):
+                sound(bad, beams, 3.0, noise)
+    with pytest.raises(ValueError, match=r"beams of shape \(16, K\) or \(3, 16, K\)"):
+        sound(block_rows, np.stack([beams] * 2), 3.0, None)
+    for codebook in (widebeams16, narrow16):
+        with pytest.raises(ValueError, match=r"receive rows of shape \(T, 16\)"):
+            sound_codebook(block_rows[0], codebook, 100.0, None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trials=st.integers(1, 40), n=st.integers(1, 64), k=st.integers(1, 40), per_draw=st.booleans(),
+       noisy=st.booleans(), snr=st.floats(0.0, 1e12), seed=st.integers(0, 2 ** 32 - 1))
+def test_sound_is_each_rows_own_product_bytewise(trials, n, k, per_draw, noisy, snr, seed):
+    """Row t of a block's powers is |sqrt(snr) * (rows[t] @ beams_t) + noise[t]|**2 of that row alone."""
+    rng = np.random.default_rng(seed)
+    rows, noise = _cn(rng, trials, n), _cn(rng, trials, k) if noisy else None
+    beams = _cn(rng, trials * n, k).reshape(trials, n, k) if per_draw else _cn(rng, n, k)
+    chi = sound(rows, beams, snr, noise)
+    assert chi.shape == (trials, k)
+    for t in range(trials):
+        y = np.sqrt(snr) * (rows[t] @ (beams[t] if per_draw else beams))
+        expected = np.abs(y + noise[t] if noisy else y) ** 2
+        assert chi[t].tobytes() == expected.tobytes()
 
 
 # --- ratio metric and inversion ---------------------------------------------
@@ -294,7 +325,7 @@ def test_two_stage_noiseless_exact(widebeams16):
     rng = np.random.default_rng(3)
     for theta in rng.uniform(-50.0, 50.0, 200):
         ch = make_single_path(theta, rng.uniform(-90, 90), 1.0, TX16, RX8)
-        report = estimate_two_stage(ch.matched_row[0], widebeams16, 100.0, None)
+        report = infer(estimate_two_stage, ch.matched_row, widebeams16, 100.0, None)
         assert abs(angle_to_spatial(report.estimate_deg, TX16) - angle_to_spatial(theta, TX16)) < 1e-6
         assert abs(report.ratio_metric) <= 1.0
 
@@ -302,14 +333,14 @@ def test_two_stage_noiseless_exact(widebeams16):
 def test_two_stage_budget_32():
     cb = build_widebeam_codebook((-50.0, 50.0), TX32, num_beams=14)
     ch = make_single_path(10.0, 0.0, 1.0, TX32, RX8)
-    estimate_two_stage(ch.matched_row[0], cb, 10.0, _cn(np.random.default_rng(0), 1, 16)[0])
+    infer(estimate_two_stage, ch.matched_row, cb, 10.0, _cn(np.random.default_rng(0), 1, 16))
     with pytest.raises(ValueError, match="noise"):  # J + 2 = 16 samples, not 15
-        estimate_two_stage(ch.matched_row[0], cb, 10.0, np.zeros(15, complex))
+        infer(estimate_two_stage, ch.matched_row, cb, 10.0, np.zeros((1, 15), complex))
 
 
 def test_two_stage_degenerate_falls_back_to_boresight(widebeams16):
     ch = make_single_path(0.0, 0.0, 1.0, TX16, RX8)
-    report = estimate_two_stage(ch.matched_row[0], widebeams16, 0.0, None)  # all powers exactly zero
+    report = infer(estimate_two_stage, ch.matched_row, widebeams16, 0.0, None)  # all powers exactly zero
     assert report.ratio_metric == 0.0
     assert report.estimate_deg == spatial_to_angle(widebeams16.boresights[report.stage1_selection], TX16)
 
@@ -317,7 +348,7 @@ def test_two_stage_degenerate_falls_back_to_boresight(widebeams16):
 def test_gob_exact_on_boresight(narrow16):
     theta = spatial_to_angle(narrow16.boresights[5], TX16)
     ch = make_single_path(theta, 20.0, 1.0, TX16, RX8)
-    report = estimate_gob(ch.matched_row[0], narrow16, 50.0, None)
+    report = infer(estimate_gob, ch.matched_row, narrow16, 50.0, None)
     assert report.estimate_deg == pytest.approx(theta, abs=1e-12)
 
 
@@ -332,14 +363,14 @@ def test_gob_noiseless_floor_matches_quadrature(narrow16):
     errs = []
     for theta in rng.uniform(-50.0, 50.0, 1000):
         ch = make_single_path(theta, rng.uniform(-90, 90), 1.0, TX16, RX8)
-        errs.append(abs(theta - estimate_gob(ch.matched_row[0], narrow16, 100.0, None).estimate_deg))
+        errs.append(abs(theta - infer(estimate_gob, ch.matched_row, narrow16, 100.0, None).estimate_deg))
     assert np.mean(errs) == pytest.approx(oracle, rel=0.03)
 
 
 def test_gob_abp_exact_at_pair_midpoint(narrow16):
     mid = 0.5 * (narrow16.boresights[7] + narrow16.boresights[8])
     ch = make_single_path(spatial_to_angle(mid, TX16), 0.0, 1.0, TX16, RX8)
-    report = estimate_gob_abp(ch.matched_row[0], narrow16, 100.0, None)
+    report = infer(estimate_gob_abp, ch.matched_row, narrow16, 100.0, None)
     assert report.ratio_metric == pytest.approx(0.0, abs=1e-9)
     assert angle_to_spatial(report.estimate_deg, TX16) == pytest.approx(mid, abs=1e-9)
 
@@ -349,14 +380,14 @@ def test_gob_abp_beats_gob_noiseless(narrow16):
     gob_errs, abp_errs = [], []
     for theta in rng.uniform(-50.0, 50.0, 1000):
         ch = make_single_path(theta, rng.uniform(-90, 90), 1.0, TX16, RX8)
-        gob_errs.append(abs(theta - estimate_gob(ch.matched_row[0], narrow16, 100.0, None).estimate_deg))
-        abp_errs.append(abs(theta - estimate_gob_abp(ch.matched_row[0], narrow16, 100.0, None).estimate_deg))
+        gob_errs.append(abs(theta - infer(estimate_gob, ch.matched_row, narrow16, 100.0, None).estimate_deg))
+        abp_errs.append(abs(theta - infer(estimate_gob_abp, ch.matched_row, narrow16, 100.0, None).estimate_deg))
     assert np.mean(abp_errs) < np.mean(gob_errs)
 
 
 def test_gob_abp_edge_uses_single_neighbor(narrow16):
     ch = make_single_path(-49.9, 0.0, 1.0, TX16, RX8)
-    report = estimate_gob_abp(ch.matched_row[0], narrow16, 100.0, None)
+    report = infer(estimate_gob_abp, ch.matched_row, narrow16, 100.0, None)
     assert report.stage1_selection == 0
     assert -50.5 < report.estimate_deg < -40.0
 
@@ -366,6 +397,6 @@ def test_ratio_metric_bounded_on_noisy_trials(widebeams16):
     for _ in range(300):
         ch = make_single_path(rng.uniform(-50, 50), rng.uniform(-90, 90),
                               complex(*rng.standard_normal(2)) / np.sqrt(2), TX16, RX8)
-        report = estimate_two_stage(ch.matched_row[0], widebeams16, 1.0, _cn(rng, 1, 9)[0])
+        report = infer(estimate_two_stage, ch.matched_row, widebeams16, 1.0, _cn(rng, 1, 9))
         assert abs(report.ratio_metric) <= 1.0
         assert abs(report.estimate_deg) <= 90.0

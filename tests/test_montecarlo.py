@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from beamalign import beams, montecarlo
+from beamalign import beams, estimators, montecarlo
 from beamalign import (
     ErrorCurve,
     EstimatorSpec,
@@ -228,7 +228,11 @@ def test_trial_errors_are_pinned(name, snr_index):
 
 
 def test_trial_sounds_each_draw_once(monkeypatch):
-    """A warm trial builds one channel matrix, no beam pair, and one estimate per entry."""
+    """A warm trial builds one channel matrix, no beam pair, and one estimate per entry.
+
+    A block of any size calls the sounding kernel once per grid-of-beams
+    entry and twice (sweep, then pair) per two-stage entry.
+    """
     cfg = load_config(bundled_config("fig6.cfg"))
     ws = _workspace(cfg)
     _block_errors(ws, cfg, 4, 0, 1)  # first use builds the codebooks' stored beams and pairs
@@ -244,8 +248,18 @@ def test_trial_sounds_each_draw_once(monkeypatch):
     monkeypatch.setattr(beams, "build_abp", counted("build_abp", beams.build_abp))
     for kind, fn in list(montecarlo._ESTIMATE.items()):
         monkeypatch.setitem(montecarlo._ESTIMATE, kind, counted(fn.__name__, fn))
+    sounded, sound = Counter(), estimators.sound  # kernel calls per block size
+
+    def counted_sound(rows, *args):
+        sounded[len(rows)] += 1
+        return sound(rows, *args)
+
+    monkeypatch.setattr(estimators, "sound", counted_sound)
     _block_errors(ws, cfg, 4, 0, 1)
     assert calls == Counter(matrix=1, estimate_two_stage=1, estimate_gob=2, estimate_gob_abp=2)
+    _block_errors(ws, cfg, 4, 0, _TRIAL_BLOCK)
+    assert sum(2 if spec.kind.startswith("two_stage") else 1 for spec in cfg.estimators) == 6
+    assert sounded == Counter({1: 6, _TRIAL_BLOCK: 6})
 
 
 def test_benchmark_tracer_wraps_every_span_target():
